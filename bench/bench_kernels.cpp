@@ -116,7 +116,7 @@ BM_TopkMask(benchmark::State &state)
     for (auto _ : state)
         benchmark::DoNotOptimize(topkMask(s, k));
 }
-BENCHMARK(BM_TopkMask)->Arg(128)->Arg(512);
+BENCHMARK(BM_TopkMask)->Arg(128)->Arg(512)->Arg(2048)->UseRealTime();
 
 void
 BM_Softmax(benchmark::State &state)
@@ -127,7 +127,7 @@ BM_Softmax(benchmark::State &state)
     for (auto _ : state)
         benchmark::DoNotOptimize(rowSoftmax(s));
 }
-BENCHMARK(BM_Softmax)->Arg(128)->Arg(512);
+BENCHMARK(BM_Softmax)->Arg(128)->Arg(512)->Arg(2048)->UseRealTime();
 
 void
 BM_LocalityAwareScheduler(benchmark::State &state)
@@ -164,7 +164,11 @@ BM_DetectorEstimate(benchmark::State &state)
     for (auto _ : state)
         benchmark::DoNotOptimize(det.estimateScores(0, 0, x));
 }
-BENCHMARK(BM_DetectorEstimate)->Arg(128)->Arg(384);
+BENCHMARK(BM_DetectorEstimate)
+    ->Arg(128)
+    ->Arg(384)
+    ->Arg(2048)
+    ->UseRealTime();
 
 // ---------------------------------------------------------------------
 // Retention sweep: the attention core (S = QK^T, masked softmax, A*V)
@@ -258,9 +262,10 @@ int8MaskedAttention(const AttentionProblem &p)
     probs.scale = lut.probScale();
     probs.zero_point = 0;
     probs.codes.resize(n * n);
+    std::vector<uint32_t> scratch(n);
     for (size_t i = 0; i < n; ++i)
         lut.softmaxRow(raw.data() + i * n, n, p.mask.row(i),
-                       probs.codes.data() + i * n);
+                       probs.codes.data() + i * n, scratch);
     return int8MatmulBT(probs, vt);
 }
 

@@ -6,6 +6,9 @@
 
 #include <cmath>
 
+#include "tensor/gemm_kernels.hpp"
+#include "tensor/ops.hpp"
+
 namespace dota {
 
 DotaDetector::DotaDetector(const TransformerConfig &model_cfg,
@@ -83,27 +86,47 @@ DotaDetector::selectMask(size_t layer, size_t head, bool causal)
 
     qt_[slot] = quantizedProduct(xp_q_, wq_[slot].value);
     kt_[slot] = quantizedProduct(xp_q_, wk_[slot].value);
-    est_[slot] = matmulBT(qt_[slot], kt_[slot]);
-
-    if (!cfg_.apply_mask)
-        return {}; // warmup: estimate is trained but attention stays dense
-
-    const size_t n = est_[slot].rows();
-    if (cfg_.use_threshold) {
-        Matrix mask = thresholdMask(est_[slot], cfg_.threshold);
-        if (causal) {
-            for (size_t i = 0; i < n; ++i)
-                for (size_t j = i + 1; j < n; ++j)
-                    mask(i, j) = 0.0f;
-            // Guarantee progress: every row keeps its diagonal.
-            for (size_t i = 0; i < n; ++i)
-                mask(i, i) = 1.0f;
-        }
-        return mask;
+    if (!cfg_.apply_mask) {
+        // Warmup: the estimate is trained but attention stays dense.
+        estimateRows(slot, causal, nullptr);
+        return {};
     }
+    const size_t n = qt_[slot].rows();
+    Matrix mask(n, n);
+    estimateRows(slot, causal, &mask);
+    return mask;
+}
+
+void
+DotaDetector::estimateRows(size_t slot, bool causal, Matrix *mask)
+{
+    const Matrix &qt = qt_[slot];
+    const Matrix &kt = kt_[slot];
+    const size_t n = qt.rows();
+    Matrix &est = est_[slot];
+    if (est.rows() != n || est.cols() != n)
+        est = Matrix(n, n);
     const size_t keep = keepCount(n);
-    return causal ? topkMaskCausal(est_[slot], keep)
-                  : topkMask(est_[slot], keep);
+    const auto &kernels = activeGemmKernels();
+    forRowBlocks(n, n, [&](size_t r0, size_t r1) {
+        TopkScratch scratch;
+        for (size_t i = r0; i < r1; ++i) {
+            kernels.matmulBTRows(qt, kt, est, i, i + 1);
+            if (mask == nullptr)
+                continue;
+            const float *row = est.row(i);
+            float *out = mask->row(i);
+            const size_t visible = causal ? i + 1 : n;
+            if (!cfg_.use_threshold) {
+                selectRowTopK(row, visible, keep, scratch, out);
+                continue;
+            }
+            for (size_t j = 0; j < visible; ++j)
+                out[j] = row[j] >= cfg_.threshold ? 1.0f : 0.0f;
+            if (causal)
+                out[i] = 1.0f; // guarantee progress: keep the diagonal
+        }
+    });
 }
 
 void
@@ -186,7 +209,7 @@ DotaDetector::estimateScores(size_t layer, size_t head, const Matrix &x)
     const size_t slot = headIndex(layer, head);
     qt_[slot] = quantizedProduct(xp_q_, wq_[slot].value);
     kt_[slot] = quantizedProduct(xp_q_, wk_[slot].value);
-    est_[slot] = matmulBT(qt_[slot], kt_[slot]);
+    estimateRows(slot, false, nullptr);
     return est_[slot];
 }
 

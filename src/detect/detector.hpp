@@ -110,6 +110,16 @@ class DotaDetector : public AttentionHook, public Module
     size_t headIndex(size_t layer, size_t head) const;
     Matrix quantizedProduct(const Matrix &xp, const Matrix &w) const;
 
+    /**
+     * The fused select pass: S~ = Q~ K~^T of @p slot into its est_
+     * buffer (reused while n is unchanged), one row at a time through
+     * matmulBTRows — the bits matmulBT gives — and, when @p mask is
+     * non-null, each row's top-k or threshold selection into the zeroed
+     * n x n @p mask while the row is still in cache. Row blocks run in
+     * parallel above rowParallelElemThreshold().
+     */
+    void estimateRows(size_t slot, bool causal, Matrix *mask);
+
     TransformerConfig model_cfg_;
     DetectorConfig cfg_;
     size_t k_;      ///< reduced rank

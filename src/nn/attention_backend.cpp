@@ -137,10 +137,13 @@ class Int8Backend final : public AttentionBackend
         probs.scale = lut.probScale();
         probs.zero_point = 0;
         probs.codes.resize(n * t);
-        for (size_t i = 0; i < n; ++i)
-            lut.softmaxRow(raw.data() + i * t, t,
-                           masked ? p.dense_mask->row(i) : nullptr,
-                           probs.codes.data() + i * t);
+        forRowBlocks(n, t, [&](size_t r0, size_t r1) {
+            std::vector<uint32_t> scratch(t);
+            for (size_t i = r0; i < r1; ++i)
+                lut.softmaxRow(raw.data() + i * t, t,
+                               masked ? p.dense_mask->row(i) : nullptr,
+                               probs.codes.data() + i * t, scratch);
+        });
 
         AttnHeadResult r;
         r.z = int8MatmulBT(probs, vt);

@@ -184,10 +184,13 @@ int8Block(EncoderBlock &blk, const Int8BlockPlan &bp, const Matrix &x,
         probs.scale = bp.softmax.probScale();
         probs.zero_point = 0;
         probs.codes.resize(n * n);
-        for (size_t i = 0; i < n; ++i)
-            bp.softmax.softmaxRow(raw.data() + i * n, n,
-                                  keep ? keep->row(i) : nullptr,
-                                  probs.codes.data() + i * n);
+        forRowBlocks(n, n, [&](size_t r0, size_t r1) {
+            std::vector<uint32_t> scratch(n);
+            for (size_t i = r0; i < r1; ++i)
+                bp.softmax.softmaxRow(raw.data() + i * n, n,
+                                      keep ? keep->row(i) : nullptr,
+                                      probs.codes.data() + i * n, scratch);
+        });
 
         if (hook && hook->wantsFullScores()) {
             // Estimation-loss hooks observe the dequantized raw scores
@@ -419,6 +422,7 @@ int8BlockStep(EncoderBlock &blk, const Int8BlockPlan &bp,
     Matrix z(1, d);
     std::vector<int32_t> scores(t);
     std::vector<uint8_t> probs(t);
+    std::vector<uint32_t> scratch(t);
     std::vector<int32_t> acc(dh);
     const auto &kt = activeGemmKernels();
     for (size_t h = 0; h < heads; ++h) {
@@ -433,7 +437,8 @@ int8BlockStep(EncoderBlock &blk, const Int8BlockPlan &bp,
             scores[j] =
                 raw - kU8ZeroPoint * cache.k_head_sums[j * heads + h];
         }
-        bp.softmax.softmaxRow(scores.data(), t, nullptr, probs.data());
+        bp.softmax.softmaxRow(scores.data(), t, nullptr, probs.data(),
+                              scratch);
         std::fill(acc.begin(), acc.end(), 0);
         for (size_t j = 0; j < t; ++j) {
             const int32_t w = probs[j];

@@ -6,6 +6,8 @@
 
 #include <cmath>
 
+#include "common/logging.hpp"
+
 namespace dota {
 
 IntSoftmaxLut::IntSoftmaxLut(float score_scale)
@@ -32,8 +34,11 @@ IntSoftmaxLut::IntSoftmaxLut(float score_scale)
 
 void
 IntSoftmaxLut::softmaxRow(const int32_t *scores, size_t n,
-                          const float *mask, uint8_t *probs) const
+                          const float *mask, uint8_t *probs,
+                          std::span<uint32_t> scratch) const
 {
+    DOTA_ASSERT(scratch.size() >= n, "softmaxRow scratch {} < row {}",
+                scratch.size(), n);
     // Row max over kept coordinates.
     bool any = false;
     int32_t max = 0;
@@ -52,12 +57,7 @@ IntSoftmaxLut::softmaxRow(const int32_t *scores, size_t n,
 
     // e_j = 2^15 * 2^(-z_j) via shift + fractional LUT.
     uint64_t sum = 0;
-    // Stack buffer for typical rows, heap for very long ones.
-    uint32_t stack_e[512];
-    uint32_t *e = stack_e;
-    uint32_t *heap_e = nullptr;
-    if (n > 512)
-        e = heap_e = new uint32_t[n];
+    uint32_t *e = scratch.data();
     for (size_t j = 0; j < n; ++j) {
         if (mask != nullptr && mask[j] == 0.0f) {
             e[j] = 0;
@@ -82,8 +82,6 @@ IntSoftmaxLut::softmaxRow(const int32_t *scores, size_t n,
     for (size_t j = 0; j < n; ++j)
         probs[j] = static_cast<uint8_t>(
             (static_cast<uint64_t>(e[j]) * 127 + sum / 2) / sum);
-
-    delete[] heap_e;
 }
 
 } // namespace dota

@@ -23,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 namespace dota {
 
@@ -41,10 +42,12 @@ class IntSoftmaxLut
      * [0, 127]. @p mask, when non-null, is the usual 0/1 float keep-
      * mask: dropped coordinates get probability 0 and do not contribute
      * to the max or the normalizer. An all-masked (or empty) row
-     * produces all zeros.
+     * produces all zeros. @p scratch (at least @p n entries) is
+     * caller-owned working space for the row's exponentials, so a
+     * parallel row loop allocates once per chunk, not once per row.
      */
     void softmaxRow(const int32_t *scores, size_t n, const float *mask,
-                    uint8_t *probs) const;
+                    uint8_t *probs, std::span<uint32_t> scratch) const;
 
     /** Real probability represented by output code 127 is ~1: 1/127. */
     float probScale() const { return 1.0f / 127.0f; }

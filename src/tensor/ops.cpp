@@ -45,12 +45,42 @@ gemmGrain(size_t rows)
     return std::max<size_t>(1, rows / (4 * conc));
 }
 
+/**
+ * Below this many elements a row-wise kernel stays serial. Measured like
+ * kParallelMacThreshold, as the serial-vs-parallelFor crossover on a
+ * 4-vCPU AVX2 box at 4 threads, warmed, over row counts x 256 columns
+ * (fork/join ~7 us): the transcendental kernels (rowSoftmax, GELU) win
+ * from ~2^12 elements, layerNorm from ~2^14, and the memory-bound add
+ * breaks even between 2^15 (23 vs 31 us) and 2^16 (53 vs 42 us). At
+ * 2^15 softmax and layerNorm already run ~2x faster in parallel, while
+ * decode rows (1 x <= 2048) and the tiny training shapes (n <= 160
+ * tokens, width <= 160: n x ffn and n x n both < 2^15) never pay for a
+ * dispatch.
+ */
+constexpr size_t kParallelElemThreshold = size_t{1} << 15;
+
 } // namespace
 
 uint64_t
 gemmParallelMacThreshold()
 {
     return kParallelMacThreshold;
+}
+
+size_t
+rowParallelElemThreshold()
+{
+    return kParallelElemThreshold;
+}
+
+void
+forRowBlocks(size_t rows, size_t cols,
+             const std::function<void(size_t, size_t)> &fn)
+{
+    if (rows * cols < kParallelElemThreshold)
+        fn(0, rows);
+    else
+        parallelFor(0, rows, gemmGrain(rows), fn);
 }
 
 /*
@@ -143,8 +173,11 @@ add(const Matrix &a, const Matrix &b)
 {
     assertSameShape(a, b, "add");
     Matrix c(a.rows(), a.cols());
-    for (size_t i = 0; i < a.size(); ++i)
-        c.data()[i] = a.data()[i] + b.data()[i];
+    const size_t d = a.cols();
+    forRowBlocks(a.rows(), d, [&](size_t r0, size_t r1) {
+        for (size_t i = r0 * d; i < r1 * d; ++i)
+            c.data()[i] = a.data()[i] + b.data()[i];
+    });
     return c;
 }
 
@@ -172,8 +205,11 @@ Matrix
 scale(const Matrix &a, float s)
 {
     Matrix c(a.rows(), a.cols());
-    for (size_t i = 0; i < a.size(); ++i)
-        c.data()[i] = a.data()[i] * s;
+    const size_t d = a.cols();
+    forRowBlocks(a.rows(), d, [&](size_t r0, size_t r1) {
+        for (size_t i = r0 * d; i < r1 * d; ++i)
+            c.data()[i] = a.data()[i] * s;
+    });
     return c;
 }
 
@@ -184,9 +220,16 @@ addRowBroadcast(const Matrix &a, const Matrix &bias)
                 "bias {} incompatible with {}", bias.shapeStr(),
                 a.shapeStr());
     Matrix c(a.rows(), a.cols());
-    for (size_t i = 0; i < a.rows(); ++i)
-        for (size_t j = 0; j < a.cols(); ++j)
-            c(i, j) = a(i, j) + bias(0, j);
+    const size_t d = a.cols();
+    const float *b = bias.data();
+    forRowBlocks(a.rows(), d, [&](size_t r0, size_t r1) {
+        for (size_t i = r0; i < r1; ++i) {
+            const float *x = a.row(i);
+            float *out = c.row(i);
+            for (size_t j = 0; j < d; ++j)
+                out[j] = x[j] + b[j];
+        }
+    });
     return c;
 }
 
@@ -194,21 +237,24 @@ Matrix
 rowSoftmax(const Matrix &a)
 {
     Matrix y(a.rows(), a.cols());
-    for (size_t i = 0; i < a.rows(); ++i) {
-        const float *x = a.row(i);
-        float *out = y.row(i);
-        float mx = -std::numeric_limits<float>::infinity();
-        for (size_t j = 0; j < a.cols(); ++j)
-            mx = std::max(mx, x[j]);
-        double denom = 0.0;
-        for (size_t j = 0; j < a.cols(); ++j) {
-            out[j] = std::exp(x[j] - mx);
-            denom += out[j];
+    const size_t d = a.cols();
+    forRowBlocks(a.rows(), d, [&](size_t r0, size_t r1) {
+        for (size_t i = r0; i < r1; ++i) {
+            const float *x = a.row(i);
+            float *out = y.row(i);
+            float mx = -std::numeric_limits<float>::infinity();
+            for (size_t j = 0; j < d; ++j)
+                mx = std::max(mx, x[j]);
+            double denom = 0.0;
+            for (size_t j = 0; j < d; ++j) {
+                out[j] = std::exp(x[j] - mx);
+                denom += out[j];
+            }
+            const float inv = static_cast<float>(1.0 / denom);
+            for (size_t j = 0; j < d; ++j)
+                out[j] *= inv;
         }
-        const float inv = static_cast<float>(1.0 / denom);
-        for (size_t j = 0; j < a.cols(); ++j)
-            out[j] *= inv;
-    }
+    });
     return y;
 }
 
@@ -217,31 +263,34 @@ rowSoftmaxMasked(const Matrix &a, const Matrix &mask)
 {
     assertSameShape(a, mask, "rowSoftmaxMasked");
     Matrix y(a.rows(), a.cols());
-    for (size_t i = 0; i < a.rows(); ++i) {
-        const float *x = a.row(i);
-        const float *m = mask.row(i);
-        float *out = y.row(i);
-        float mx = -std::numeric_limits<float>::infinity();
-        bool any = false;
-        for (size_t j = 0; j < a.cols(); ++j) {
-            if (m[j] != 0.0f) {
-                mx = std::max(mx, x[j]);
-                any = true;
+    const size_t d = a.cols();
+    forRowBlocks(a.rows(), d, [&](size_t r0, size_t r1) {
+        for (size_t i = r0; i < r1; ++i) {
+            const float *x = a.row(i);
+            const float *m = mask.row(i);
+            float *out = y.row(i);
+            float mx = -std::numeric_limits<float>::infinity();
+            bool any = false;
+            for (size_t j = 0; j < d; ++j) {
+                if (m[j] != 0.0f) {
+                    mx = std::max(mx, x[j]);
+                    any = true;
+                }
             }
-        }
-        if (!any)
-            continue; // row stays zero: no incoming edges.
-        double denom = 0.0;
-        for (size_t j = 0; j < a.cols(); ++j) {
-            if (m[j] != 0.0f) {
-                out[j] = std::exp(x[j] - mx);
-                denom += out[j];
+            if (!any)
+                continue; // row stays zero: no incoming edges.
+            double denom = 0.0;
+            for (size_t j = 0; j < d; ++j) {
+                if (m[j] != 0.0f) {
+                    out[j] = std::exp(x[j] - mx);
+                    denom += out[j];
+                }
             }
+            const float inv = static_cast<float>(1.0 / denom);
+            for (size_t j = 0; j < d; ++j)
+                out[j] *= inv;
         }
-        const float inv = static_cast<float>(1.0 / denom);
-        for (size_t j = 0; j < a.cols(); ++j)
-            out[j] *= inv;
-    }
+    });
     return y;
 }
 
@@ -292,11 +341,14 @@ Matrix
 gelu(const Matrix &a)
 {
     Matrix y(a.rows(), a.cols());
-    for (size_t i = 0; i < a.size(); ++i) {
-        const float x = a.data()[i];
-        const float t = std::tanh(kGeluC * (x + 0.044715f * x * x * x));
-        y.data()[i] = 0.5f * x * (1.0f + t);
-    }
+    const size_t d = a.cols();
+    forRowBlocks(a.rows(), d, [&](size_t r0, size_t r1) {
+        for (size_t i = r0 * d; i < r1 * d; ++i) {
+            const float x = a.data()[i];
+            const float t = std::tanh(kGeluC * (x + 0.044715f * x * x * x));
+            y.data()[i] = 0.5f * x * (1.0f + t);
+        }
+    });
     return y;
 }
 
@@ -305,15 +357,18 @@ geluBackward(const Matrix &xin, const Matrix &dy)
 {
     assertSameShape(xin, dy, "geluBackward");
     Matrix dx(xin.rows(), xin.cols());
-    for (size_t i = 0; i < xin.size(); ++i) {
-        const float x = xin.data()[i];
-        const float u = kGeluC * (x + 0.044715f * x * x * x);
-        const float t = std::tanh(u);
-        const float du = kGeluC * (1.0f + 3.0f * 0.044715f * x * x);
-        const float grad =
-            0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
-        dx.data()[i] = dy.data()[i] * grad;
-    }
+    const size_t d = xin.cols();
+    forRowBlocks(xin.rows(), d, [&](size_t r0, size_t r1) {
+        for (size_t i = r0 * d; i < r1 * d; ++i) {
+            const float x = xin.data()[i];
+            const float u = kGeluC * (x + 0.044715f * x * x * x);
+            const float t = std::tanh(u);
+            const float du = kGeluC * (1.0f + 3.0f * 0.044715f * x * x);
+            const float grad =
+                0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
+            dx.data()[i] = dy.data()[i] * grad;
+        }
+    });
     return dx;
 }
 
@@ -327,26 +382,30 @@ layerNorm(const Matrix &x, const Matrix &gamma, const Matrix &beta,
     Matrix y(n, d);
     mean = Matrix(n, 1);
     rstd = Matrix(n, 1);
-    for (size_t i = 0; i < n; ++i) {
-        const float *xr = x.row(i);
-        double mu = 0.0;
-        for (size_t j = 0; j < d; ++j)
-            mu += xr[j];
-        mu /= static_cast<double>(d);
-        double var = 0.0;
-        for (size_t j = 0; j < d; ++j) {
-            const double c = xr[j] - mu;
-            var += c * c;
+    const float *g = gamma.data();
+    const float *b = beta.data();
+    forRowBlocks(n, d, [&](size_t r0, size_t r1) {
+        for (size_t i = r0; i < r1; ++i) {
+            const float *xr = x.row(i);
+            double mu = 0.0;
+            for (size_t j = 0; j < d; ++j)
+                mu += xr[j];
+            mu /= static_cast<double>(d);
+            double var = 0.0;
+            for (size_t j = 0; j < d; ++j) {
+                const double c = xr[j] - mu;
+                var += c * c;
+            }
+            var /= static_cast<double>(d);
+            const float rs =
+                static_cast<float>(1.0 / std::sqrt(var + eps));
+            mean.data()[i] = static_cast<float>(mu);
+            rstd.data()[i] = rs;
+            float *yr = y.row(i);
+            for (size_t j = 0; j < d; ++j)
+                yr[j] = (xr[j] - static_cast<float>(mu)) * rs * g[j] + b[j];
         }
-        var /= static_cast<double>(d);
-        const float rs = static_cast<float>(1.0 / std::sqrt(var + eps));
-        mean(i, 0) = static_cast<float>(mu);
-        rstd(i, 0) = rs;
-        float *yr = y.row(i);
-        for (size_t j = 0; j < d; ++j)
-            yr[j] = (xr[j] - static_cast<float>(mu)) * rs * gamma(0, j) +
-                    beta(0, j);
-    }
+    });
     return y;
 }
 

@@ -13,9 +13,14 @@
  * bit-identical) and are row-block parallel above a size threshold
  * (common/thread_pool.hpp, DOTA_THREADS): each output row is produced by
  * exactly one thread with a fixed per-element reduction order, so results
- * are bit-identical to serial execution for every thread count.
+ * are bit-identical to serial execution for every thread count. The
+ * row-wise kernels (softmax, GELU, LayerNorm, the elementwise
+ * add/scale family) split the same way by output rows above an element
+ * threshold (forRowBlocks), with their per-row arithmetic unchanged.
  */
 #pragma once
+
+#include <functional>
 
 #include "tensor/matrix.hpp"
 
@@ -119,5 +124,22 @@ uint64_t gemmMacs(size_t m, size_t k, size_t n);
  * attention kernels so both layers parallelize consistently.
  */
 uint64_t gemmParallelMacThreshold();
+
+/**
+ * Element count (rows x cols) below which a row-wise kernel runs
+ * serially: the measured fork/join crossover for the cheapest of them
+ * (see ops.cpp). Decode rows and the small training shapes fall below it.
+ */
+size_t rowParallelElemThreshold();
+
+/**
+ * Run @p fn over row blocks [r0, r1) of a @p rows x @p cols problem:
+ * one inline call over all rows below rowParallelElemThreshold(),
+ * otherwise parallelFor with the GEMM row grain. Every row is passed to
+ * exactly one call, so a body that writes only the rows it is given is
+ * bit-identical at every DOTA_THREADS value.
+ */
+void forRowBlocks(size_t rows, size_t cols,
+                  const std::function<void(size_t, size_t)> &fn);
 
 } // namespace dota

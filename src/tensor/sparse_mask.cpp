@@ -7,18 +7,22 @@
 #include <algorithm>
 #include <set>
 
+#include "tensor/ops.hpp"
+
 namespace dota {
 
 SparseMask
 SparseMask::fromDense(const Matrix &mask)
 {
     SparseMask out(mask.rows(), mask.cols());
-    for (size_t r = 0; r < mask.rows(); ++r) {
-        const float *row = mask.row(r);
-        for (size_t c = 0; c < mask.cols(); ++c)
-            if (row[c] != 0.0f)
-                out.ids_[r].push_back(static_cast<uint32_t>(c));
-    }
+    forRowBlocks(mask.rows(), mask.cols(), [&](size_t r0, size_t r1) {
+        for (size_t r = r0; r < r1; ++r) {
+            const float *row = mask.row(r);
+            for (size_t c = 0; c < mask.cols(); ++c)
+                if (row[c] != 0.0f)
+                    out.ids_[r].push_back(static_cast<uint32_t>(c));
+        }
+    });
     return out;
 }
 

@@ -92,27 +92,34 @@ CsrMatrix
 maskedSoftmax(const CsrMatrix &s, float scale)
 {
     CsrMatrix y = s;
-    for (size_t r = 0; r < y.rows; ++r) {
-        const uint32_t t0 = y.row_ptr[r], t1 = y.row_ptr[r + 1];
-        if (t0 == t1)
-            continue; // no kept entries: the dense path's all-zero row
+    auto rowBlock = [&](size_t r0, size_t r1) {
         float *v = y.val.data();
-        // One rounding for the scaling, as scale() does in the dense
-        // path, then the exact rowSoftmaxMasked operation sequence.
-        float mx = -std::numeric_limits<float>::infinity();
-        for (uint32_t t = t0; t < t1; ++t) {
-            v[t] = s.val[t] * scale;
-            mx = std::max(mx, v[t]);
+        for (size_t r = r0; r < r1; ++r) {
+            const uint32_t t0 = y.row_ptr[r], t1 = y.row_ptr[r + 1];
+            if (t0 == t1)
+                continue; // no kept entries: the dense path's all-zero row
+            // One rounding for the scaling, as scale() does in the dense
+            // path, then the exact rowSoftmaxMasked operation sequence.
+            float mx = -std::numeric_limits<float>::infinity();
+            for (uint32_t t = t0; t < t1; ++t) {
+                v[t] = s.val[t] * scale;
+                mx = std::max(mx, v[t]);
+            }
+            double denom = 0.0;
+            for (uint32_t t = t0; t < t1; ++t) {
+                v[t] = std::exp(v[t] - mx);
+                denom += v[t];
+            }
+            const float inv = static_cast<float>(1.0 / denom);
+            for (uint32_t t = t0; t < t1; ++t)
+                v[t] *= inv;
         }
-        double denom = 0.0;
-        for (uint32_t t = t0; t < t1; ++t) {
-            v[t] = std::exp(v[t] - mx);
-            denom += v[t];
-        }
-        const float inv = static_cast<float>(1.0 / denom);
-        for (uint32_t t = t0; t < t1; ++t)
-            v[t] *= inv;
-    }
+    };
+    // Row-wise like rowSoftmax: serial below the same element threshold.
+    if (y.nnz() < rowParallelElemThreshold())
+        rowBlock(0, y.rows);
+    else
+        parallelFor(0, y.rows, rowGrain(y.rows), rowBlock);
     return y;
 }
 

@@ -17,12 +17,39 @@
 
 namespace dota {
 
-/** Indices of the k largest entries of row @p r of @p scores (unsorted). */
+/*
+ * Every selection below ranks a row's entries in one order: value
+ * descending, NaN below every number (including -Inf), ties broken by
+ * ascending column (+0 and -0 tie). The kept set is the first
+ * min(k, visible) entries of that order.
+ */
+
+/** Indices of the k largest entries of row @p r, in ascending order. */
 std::vector<uint32_t> rowTopK(const Matrix &scores, size_t r, size_t k);
 
 /**
+ * Caller-owned working space of selectRowTopK. It grows to the widest
+ * row on first use, so a loop over rows (one scratch per chunk)
+ * allocates once.
+ */
+struct TopkScratch
+{
+    std::vector<float> values;    ///< candidates for the k-th value
+    std::vector<uint8_t> buckets; ///< per-column value-histogram bucket
+};
+
+/**
+ * Write the 0/1 selection of row[0, visible) into mask_row[0, visible):
+ * 1 for the min(k, visible) columns the selection order keeps, 0 for
+ * the rest; entries from @p visible on are left untouched.
+ */
+void selectRowTopK(const float *row, size_t visible, size_t k,
+                   TopkScratch &scratch, float *mask_row);
+
+/**
  * Row-balanced top-k selection: a 0/1 mask with exactly
- * min(k, cols) ones per row. This is the DOTA selection rule.
+ * min(k, cols) ones per row. This is the DOTA selection rule. Rows are
+ * selected in parallel above rowParallelElemThreshold() elements.
  */
 Matrix topkMask(const Matrix &scores, size_t k);
 

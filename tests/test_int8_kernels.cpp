@@ -186,7 +186,9 @@ TEST(IntSoftmax, ApproximatesFloatSoftmax)
         s = static_cast<int32_t>(rng.uniform(-400.0, 400.0));
 
     std::vector<uint8_t> probs(scores.size());
-    lut.softmaxRow(scores.data(), scores.size(), nullptr, probs.data());
+    std::vector<uint32_t> scratch(scores.size());
+    lut.softmaxRow(scores.data(), scores.size(), nullptr, probs.data(),
+                   scratch);
 
     // Float reference.
     double mx = -1e30;
@@ -208,7 +210,9 @@ TEST(IntSoftmax, ArgmaxPreservedAndRowSumNormalized)
     IntSoftmaxLut lut(0.1f);
     const std::vector<int32_t> scores{-50, 120, 30, 119, -200};
     std::vector<uint8_t> probs(scores.size());
-    lut.softmaxRow(scores.data(), scores.size(), nullptr, probs.data());
+    std::vector<uint32_t> scratch(scores.size());
+    lut.softmaxRow(scores.data(), scores.size(), nullptr, probs.data(),
+                   scratch);
     size_t arg = 0;
     int sum = 0;
     for (size_t j = 0; j < probs.size(); ++j) {
@@ -228,7 +232,8 @@ TEST(IntSoftmax, MaskRemovesEntriesFromNormalizer)
     const std::vector<int32_t> scores{100, 500, 100, 100};
     const std::vector<float> mask{1.0f, 0.0f, 1.0f, 1.0f};
     std::vector<uint8_t> probs(4);
-    lut.softmaxRow(scores.data(), 4, mask.data(), probs.data());
+    std::vector<uint32_t> scratch(4);
+    lut.softmaxRow(scores.data(), 4, mask.data(), probs.data(), scratch);
     // The masked max (500) contributes nothing; the three kept equal
     // scores split the mass evenly.
     EXPECT_EQ(probs[1], 0);
@@ -243,9 +248,11 @@ TEST(IntSoftmax, AllMaskedAndEmptyRowsAreZero)
     const std::vector<int32_t> scores{10, 20, 30};
     const std::vector<float> mask{0.0f, 0.0f, 0.0f};
     std::vector<uint8_t> probs{1, 2, 3};
-    lut.softmaxRow(scores.data(), 3, mask.data(), probs.data());
+    std::vector<uint32_t> scratch(3);
+    lut.softmaxRow(scores.data(), 3, mask.data(), probs.data(), scratch);
     EXPECT_EQ(probs, (std::vector<uint8_t>{0, 0, 0}));
-    lut.softmaxRow(scores.data(), 0, nullptr, probs.data()); // no crash
+    lut.softmaxRow(scores.data(), 0, nullptr, probs.data(),
+                   {}); // no crash
 }
 
 TEST(IntSoftmax, UniformScoresGiveUniformProbs)
@@ -253,7 +260,8 @@ TEST(IntSoftmax, UniformScoresGiveUniformProbs)
     IntSoftmaxLut lut(0.02f);
     const std::vector<int32_t> scores(8, 42);
     std::vector<uint8_t> probs(8);
-    lut.softmaxRow(scores.data(), 8, nullptr, probs.data());
+    std::vector<uint32_t> scratch(8);
+    lut.softmaxRow(scores.data(), 8, nullptr, probs.data(), scratch);
     for (uint8_t p : probs)
         EXPECT_EQ(p, probs[0]);
     EXPECT_NEAR(probs[0] * lut.probScale(), 1.0 / 8.0, 1.5 / 127.0);

@@ -1,17 +1,23 @@
 /**
  * @file
  * Property tests for the parallel-execution determinism contract: GEMMs,
- * trainer gradient steps and fleet dispatch must be bit-identical at
- * DOTA_THREADS=1 and DOTA_THREADS=8 (DESIGN.md, "Parallel execution").
+ * the row-parallel softmax/GELU/LayerNorm/top-k kernels, the fused
+ * detector select, the int8 attention paths, trainer gradient steps and
+ * fleet dispatch must be bit-identical at DOTA_THREADS=1 and
+ * DOTA_THREADS=8 (DESIGN.md, "Parallel execution").
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "detect/detector.hpp"
 #include "device/fleet.hpp"
+#include "nn/attention_backend.hpp"
+#include "nn/int8_infer.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/sparse_mask.hpp"
 #include "tensor/sparse_ops.hpp"
@@ -318,6 +324,215 @@ TEST(ParallelDeterminism, SparseAttentionBitIdentical)
     auto [serial, parallel] = atBothThreadCounts(
         [&] { return sparseMaskedAttention(q, k, v, mask, sc); });
     EXPECT_TRUE(bitIdentical(serial, parallel));
+}
+
+/** A square side whose element count exceeds twice the row threshold. */
+size_t
+bigSide()
+{
+    return static_cast<size_t>(
+               std::ceil(std::sqrt(2.0 * rowParallelElemThreshold()))) +
+           1;
+}
+
+TEST(ParallelDeterminism, RowKernelsBitIdenticalBelowAndAboveThreshold)
+{
+    const size_t wide = 67; // odd width: exercises every vector tail
+    const std::vector<std::pair<size_t, size_t>> shapes = {
+        {3, 17},
+        {1, 300}, // a decode-shaped single row
+        {2 * rowParallelElemThreshold() / wide + 3, wide},
+    };
+    const char *names[] = {"rowSoftmax", "rowSoftmaxMasked",
+                           "scale",      "add",
+                           "addRowBroadcast", "gelu",
+                           "geluBackward",    "layerNorm",
+                           "layerNorm.mean",  "layerNorm.rstd",
+                           "topkMask",        "topkMaskCausal",
+                           "SparseMask::fromDense"};
+    for (const auto &[rows, cols] : shapes) {
+        Rng rng(rows * 131 + cols);
+        const Matrix a = Matrix::randomNormal(rows, cols, rng, 0.0f, 3.0f);
+        const Matrix b = Matrix::randomNormal(rows, cols, rng);
+        const Matrix bias = Matrix::randomNormal(1, cols, rng);
+        const Matrix gamma = Matrix::randomNormal(1, cols, rng, 1.0f, 0.1f);
+        const Matrix beta = Matrix::randomNormal(1, cols, rng);
+        Matrix keep = topkMask(b, cols / 3 + 1);
+        for (size_t j = 0; j < cols; ++j)
+            keep(0, j) = 0.0f; // one all-masked row
+        const size_t k = cols / 4 + 1;
+        auto [serial, parallel] = atBothThreadCounts([&] {
+            std::vector<Matrix> out;
+            out.push_back(rowSoftmax(a));
+            out.push_back(rowSoftmaxMasked(a, keep));
+            out.push_back(scale(a, 0.37f));
+            out.push_back(add(a, b));
+            out.push_back(addRowBroadcast(a, bias));
+            out.push_back(gelu(a));
+            out.push_back(geluBackward(a, b));
+            Matrix mean, rstd;
+            out.push_back(layerNorm(a, gamma, beta, mean, rstd));
+            out.push_back(mean);
+            out.push_back(rstd);
+            out.push_back(topkMask(a, k));
+            out.push_back(topkMaskCausal(a, k));
+            out.push_back(SparseMask::fromDense(keep).toDense());
+            return out;
+        });
+        ASSERT_EQ(serial.size(), std::size(names));
+        for (size_t i = 0; i < serial.size(); ++i)
+            EXPECT_TRUE(bitIdentical(serial[i], parallel[i]))
+                << names[i] << " " << rows << "x" << cols;
+    }
+}
+
+/** The selection the detector's fused pass must reproduce. */
+Matrix
+unfusedSelection(const Matrix &est, const DetectorConfig &dc, size_t keep,
+                 bool causal)
+{
+    if (!dc.use_threshold)
+        return causal ? topkMaskCausal(est, keep) : topkMask(est, keep);
+    Matrix mask = thresholdMask(est, dc.threshold);
+    if (causal)
+        for (size_t i = 0; i < mask.rows(); ++i) {
+            for (size_t j = i + 1; j < mask.cols(); ++j)
+                mask(i, j) = 0.0f;
+            mask(i, i) = 1.0f;
+        }
+    return mask;
+}
+
+TEST(ParallelDeterminism, DetectorSelectMaskBitIdentical)
+{
+    TransformerConfig mc;
+    mc.dim = 64;
+    mc.heads = 2;
+    mc.layers = 2;
+    const size_t big = bigSide(), small = 24;
+    struct Mode
+    {
+        const char *name;
+        bool causal;
+        bool threshold;
+    };
+    for (const Mode &mode : {Mode{"causal top-k", true, false},
+                             Mode{"top-k", false, false},
+                             Mode{"causal threshold", true, true},
+                             Mode{"threshold", false, true}}) {
+        DetectorConfig dc;
+        dc.train = false;
+        dc.use_threshold = mode.threshold;
+        dc.threshold = 0.05f;
+        bool reused = true;
+        auto run = [&] {
+            DotaDetector det(mc, dc);
+            std::vector<Matrix> out;
+            const float *first_buffer = nullptr;
+            // n holds for two forwards (est_ is reused), then changes
+            // (est_ is re-shaped) and changes back.
+            const size_t sizes[] = {big, big, small, big};
+            for (size_t f = 0; f < std::size(sizes); ++f) {
+                const size_t n = sizes[f];
+                Rng rng(3000 + f);
+                const Matrix x = Matrix::randomNormal(n, mc.dim, rng);
+                for (size_t layer = 0; layer < mc.layers; ++layer) {
+                    det.beginLayer(layer, x);
+                    for (size_t h = 0; h < mc.heads; ++h) {
+                        out.push_back(det.selectMask(layer, h, mode.causal));
+                        out.push_back(det.lastEstimate(layer, h));
+                    }
+                }
+                if (f == 0)
+                    first_buffer = det.lastEstimate(1, 1).data();
+                else if (f == 1)
+                    reused &= det.lastEstimate(1, 1).data() == first_buffer;
+            }
+            return out;
+        };
+        auto [serial, parallel] = atBothThreadCounts(run);
+        EXPECT_TRUE(reused) << mode.name << ": est_ reallocated at fixed n";
+        ASSERT_EQ(serial.size(), parallel.size());
+        const DotaDetector shape(mc, dc);
+        for (size_t i = 0; i < serial.size(); i += 2) {
+            EXPECT_TRUE(bitIdentical(serial[i], parallel[i]))
+                << mode.name << " mask " << i / 2;
+            EXPECT_TRUE(bitIdentical(serial[i + 1], parallel[i + 1]))
+                << mode.name << " estimate " << i / 2;
+            const Matrix &est = serial[i + 1];
+            EXPECT_TRUE(bitIdentical(
+                serial[i], unfusedSelection(est, dc,
+                                            shape.keepCount(est.rows()),
+                                            mode.causal)))
+                << mode.name << ": fused select differs, mask " << i / 2;
+        }
+    }
+}
+
+TEST(ParallelDeterminism, Int8BackendBitIdentical)
+{
+    const AttentionBackend &backend =
+        attentionBackend(AttnBackendKind::Int8);
+    for (size_t n : {size_t{24}, bigSide()}) {
+        Rng rng(4000 + n);
+        const Matrix q = Matrix::randomNormal(n, 32, rng);
+        const Matrix k = Matrix::randomNormal(n, 32, rng);
+        const Matrix v = Matrix::randomNormal(n, 32, rng);
+        const Matrix mask =
+            topkMaskCausal(Matrix::randomNormal(n, n, rng), n / 4 + 1);
+        for (const Matrix *m : {static_cast<const Matrix *>(nullptr),
+                                &mask}) {
+            AttnHeadProblem p;
+            p.q = &q;
+            p.k = &k;
+            p.v = &v;
+            p.scale = 1.0f / std::sqrt(32.0f);
+            p.dense_mask = m;
+            auto [serial, parallel] =
+                atBothThreadCounts([&] { return backend.runHead(p).z; });
+            EXPECT_TRUE(bitIdentical(serial, parallel))
+                << "n=" << n << (m ? " masked" : " unmasked");
+        }
+    }
+}
+
+TEST(ParallelDeterminism, Int8ForwardBitIdentical)
+{
+    const size_t big = bigSide();
+    TransformerConfig cfg;
+    cfg.dim = 32;
+    cfg.heads = 2;
+    cfg.layers = 2;
+    cfg.ffn_dim = 64;
+    cfg.vocab = 48;
+    cfg.max_seq = big;
+    cfg.seed = 7;
+    CausalLM lm(cfg);
+    auto ids = [&](size_t n, uint64_t seed) {
+        Rng rng(seed);
+        std::vector<int> out(n);
+        for (auto &id : out)
+            id = static_cast<int>(rng.uniformInt(cfg.vocab));
+        return out;
+    };
+    const Int8Plan plan =
+        quantizeLM(lm, calibrateLM(lm, {ids(20, 1), ids(20, 2)}));
+    DetectorConfig dc;
+    dc.train = false;
+    DotaDetector det(cfg, dc);
+    for (size_t n : {size_t{20}, big}) {
+        const std::vector<int> seq = ids(n, 10 + n);
+        for (AttentionHook *hook :
+             {static_cast<AttentionHook *>(nullptr),
+              static_cast<AttentionHook *>(&det)}) {
+            lm.setHook(hook);
+            auto [serial, parallel] = atBothThreadCounts(
+                [&] { return int8Forward(lm, plan, seq); });
+            EXPECT_TRUE(bitIdentical(serial, parallel))
+                << "n=" << n << (hook ? " with detector" : "");
+        }
+    }
+    lm.setHook(nullptr);
 }
 
 } // namespace
