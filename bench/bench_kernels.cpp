@@ -1,9 +1,10 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the performance-critical kernels:
- * reference GEMM, quantized detection GEMM, row-wise top-k selection,
- * the locality-aware scheduler, the detector's score estimation, and the
- * dense-vs-sparse attention retention sweep.
+ * reference GEMM, decode's single-row GEMM (BM_Gemv), quantized
+ * detection GEMM, row-wise top-k selection, the locality-aware
+ * scheduler, the detector's score estimation, and the dense-vs-sparse
+ * attention retention sweep.
  *
  * Output: the human-readable table on stdout plus machine-readable JSON
  * in BENCH_kernels.json (auto-injected; pass your own --benchmark_out=
@@ -54,7 +55,29 @@ BM_Gemm(benchmark::State &state)
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                             static_cast<int64_t>(n * n * n));
 }
-BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
+BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256)->Arg(512)->UseRealTime();
+
+void
+BM_Gemv(benchmark::State &state)
+{
+    // Decode's single-row GEMMs (1 x k times k x n): QKV/output
+    // projections, fc1 and fc2 of the benchmark LM. Serial by design
+    // (below the GEMM parallel threshold), so real time equals CPU time.
+    const auto k = static_cast<size_t>(state.range(0));
+    const auto n = static_cast<size_t>(state.range(1));
+    Rng rng(4);
+    const Matrix x = Matrix::randomNormal(1, k, rng);
+    const Matrix w = Matrix::randomNormal(k, n, rng);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(matmul(x, w));
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(k * n));
+}
+BENCHMARK(BM_Gemv)
+    ->Args({256, 256})
+    ->Args({256, 1024})
+    ->Args({1024, 256})
+    ->UseRealTime();
 
 void
 BM_GemmBT(benchmark::State &state)
@@ -68,7 +91,7 @@ BM_GemmBT(benchmark::State &state)
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                             static_cast<int64_t>(n * n * 64));
 }
-BENCHMARK(BM_GemmBT)->Arg(128)->Arg(384);
+BENCHMARK(BM_GemmBT)->Arg(128)->Arg(384)->UseRealTime();
 
 void
 BM_Int8Gemm(benchmark::State &state)
@@ -88,7 +111,12 @@ BM_Int8Gemm(benchmark::State &state)
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                             static_cast<int64_t>(n * n * n));
 }
-BENCHMARK(BM_Int8Gemm)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
+BENCHMARK(BM_Int8Gemm)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(256)
+    ->Arg(512)
+    ->UseRealTime();
 
 void
 BM_QuantizedDetectionGemm(benchmark::State &state)

@@ -7,9 +7,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 
 #include "common/crc32.hpp"
 #include "nn/attention_backend.hpp"
+#include "tensor/gemm_kernels.hpp"
 #include "tensor/streaming_attention.hpp"
 #include "tensor/topk.hpp"
 
@@ -20,22 +22,15 @@ KvCache::append(const Matrix &k_row, const Matrix &v_row)
 {
     DOTA_ASSERT(k_row.rows() == 1 && v_row.rows() == 1,
                 "cache rows must be single vectors");
-    if (k.empty()) {
-        k = k_row;
-        v = v_row;
-        mass.assign(1, 0.0);
-        return;
-    }
-    Matrix nk(k.rows() + 1, k.cols());
-    std::copy(k.data(), k.data() + k.size(), nk.data());
-    std::copy(k_row.data(), k_row.data() + k_row.size(),
-              nk.row(k.rows()));
-    Matrix nv(v.rows() + 1, v.cols());
-    std::copy(v.data(), v.data() + v.size(), nv.data());
-    std::copy(v_row.data(), v_row.data() + v_row.size(),
-              nv.row(v.rows()));
-    k = std::move(nk);
-    v = std::move(nv);
+    DOTA_ASSERT(k.empty() || (k_row.cols() == k.cols() &&
+                              v_row.cols() == v.cols()),
+                "cache rows of width {}/{} do not match the {}/{}-wide "
+                "cache",
+                k_row.cols(), v_row.cols(), k.cols(), v.cols());
+    if (k.empty())
+        mass.clear();
+    k.appendRow(k_row.data(), k_row.cols());
+    v.appendRow(v_row.data(), v_row.cols());
     mass.push_back(0.0);
 }
 
@@ -219,18 +214,24 @@ attentionStep(MultiHeadAttention &attn, const Matrix &x_row,
         return matmul(z, attn.wo());
     }
 
+    // Dense or top-k path through the windowed Level-2 kernels: the
+    // same dot-family scores and broadcast-FMA A·V folds as the layer
+    // forward's matmulBT / matmul, so fp32 dense decode reproduces the
+    // full causal forward bit for bit (DESIGN.md §12).
+    const auto &kt = activeGemmKernels();
+    std::vector<uint32_t> all(t), kept;
+    std::iota(all.begin(), all.end(), 0u);
+    std::vector<float> w;
+    kept.reserve(t);
+    w.reserve(t);
+    Matrix scores(1, t);
+    float *s = scores.row(0);
     for (size_t h = 0; h < heads; ++h) {
         const size_t off = h * dh;
-        // Scores of the new query against all cached keys of this head.
-        Matrix scores(1, t);
-        for (size_t j = 0; j < t; ++j) {
-            float acc = 0.0f;
-            const float *kr = cache.k.row(j) + off;
-            const float *qr = q.row(0) + off;
-            for (size_t c = 0; c < dh; ++c)
-                acc += qr[c] * kr[c];
-            scores(0, j) = acc * inv_sqrt_dk;
-        }
+        kt.sparseScoreRow(q.row(0) + off, cache.k, off, dh, all.data(), t,
+                          s);
+        for (size_t j = 0; j < t; ++j)
+            s[j] *= inv_sqrt_dk;
         Matrix probs;
         if (retention < 1.0) {
             const size_t keep = std::max<size_t>(
@@ -240,15 +241,20 @@ attentionStep(MultiHeadAttention &attn, const Matrix &x_row,
         } else {
             probs = rowSoftmax(scores);
         }
+        // A·V over the keys with non-zero probability only.
+        kept.clear();
+        w.clear();
+        const float *pr = probs.row(0);
         for (size_t j = 0; j < t; ++j) {
-            const float w = probs(0, j);
-            if (w == 0.0f)
+            const float p = pr[j];
+            if (p == 0.0f)
                 continue;
-            cache.mass[j] += w; // detector signal for evictWeak()
-            const float *vr = cache.v.row(j) + off;
-            for (size_t c = 0; c < dh; ++c)
-                z(0, off + c) += w * vr[c];
+            cache.mass[j] += p; // detector signal for evictWeak()
+            kept.push_back(static_cast<uint32_t>(j));
+            w.push_back(p);
         }
+        kt.sparseAvRow(w.data(), kept.data(), kept.size(), cache.v, off, dh,
+                       z.row(0) + off);
     }
     return matmul(z, attn.wo());
 }

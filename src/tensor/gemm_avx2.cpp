@@ -20,8 +20,9 @@
  * The GEMM driver is cache-blocked and register-tiled: output tiles of
  * 4 rows x 16 columns (8 YMM accumulators) are computed per k-sweep,
  * and the j-panel loop is outermost so the 16-column panel of B stays
- * L1-resident while A streams. See DESIGN.md §11 for the measured
- * throughput.
+ * L1-resident while A streams. Blocks of fewer than 4 rows (decode's
+ * single-row GEMMs) stream B in storage order instead. See DESIGN.md
+ * §11 for the measured throughput.
  */
 #include "tensor/gemm_kernels.hpp"
 
@@ -137,10 +138,83 @@ micro8(const float *a, size_t ra, size_t pa, const float *b, size_t ldb,
 }
 
 /**
- * Shared broadcast-FMA GEMM driver over output rows [i0, i1). The
- * 16-wide j-panel loop is outermost so B's panel stays hot in L1 while
- * the i loop streams A; scalar tail columns replay the identical
- * per-element fold with std::fma (compiled to vfmadd in this TU).
+ * MR (< 4) rows of the broadcast-FMA GEMM with B streamed in storage
+ * order: p outer, four rows of B per step, contiguous columns inner,
+ * the C rows (zeroed on entry) accumulating in place. Each element
+ * still folds p in ascending order, the same fma sequence as micro16.
+ * This is the single-row GEMM of decode: a 16-column panel walk would
+ * touch a new row of B at every p and leave one fma latency chain per
+ * accumulator, while here every B row is read once, sequentially, and
+ * the columns of a row are independent chains.
+ */
+template <int MR>
+void
+streamRows(const float *a, size_t ra, size_t pa, const float *b, size_t n,
+           float *c, size_t k)
+{
+    const size_t n8 = n - n % 8;
+    size_t p = 0;
+    for (; p + 4 <= k; p += 4) {
+        const float *b0 = b + p * n;
+        const float *b1 = b0 + n;
+        const float *b2 = b1 + n;
+        const float *b3 = b2 + n;
+        float as[MR][4];
+        __m256 av[MR][4];
+        for (int r = 0; r < MR; ++r)
+            for (int u = 0; u < 4; ++u) {
+                as[r][u] = a[r * ra + (p + u) * pa];
+                av[r][u] = _mm256_set1_ps(as[r][u]);
+            }
+        for (size_t j = 0; j < n8; j += 8) {
+            const __m256 v0 = _mm256_loadu_ps(b0 + j);
+            const __m256 v1 = _mm256_loadu_ps(b1 + j);
+            const __m256 v2 = _mm256_loadu_ps(b2 + j);
+            const __m256 v3 = _mm256_loadu_ps(b3 + j);
+            for (int r = 0; r < MR; ++r) {
+                float *cr = c + r * n + j;
+                __m256 acc = _mm256_loadu_ps(cr);
+                acc = _mm256_fmadd_ps(av[r][0], v0, acc);
+                acc = _mm256_fmadd_ps(av[r][1], v1, acc);
+                acc = _mm256_fmadd_ps(av[r][2], v2, acc);
+                acc = _mm256_fmadd_ps(av[r][3], v3, acc);
+                _mm256_storeu_ps(cr, acc);
+            }
+        }
+        for (size_t j = n8; j < n; ++j)
+            for (int r = 0; r < MR; ++r) {
+                float x = c[r * n + j];
+                x = std::fma(as[r][0], b0[j], x);
+                x = std::fma(as[r][1], b1[j], x);
+                x = std::fma(as[r][2], b2[j], x);
+                x = std::fma(as[r][3], b3[j], x);
+                c[r * n + j] = x;
+            }
+    }
+    for (; p < k; ++p) {
+        const float *bp = b + p * n;
+        for (int r = 0; r < MR; ++r) {
+            const float as = a[r * ra + p * pa];
+            const __m256 av = _mm256_set1_ps(as);
+            float *cr = c + r * n;
+            size_t j = 0;
+            for (; j < n8; j += 8)
+                _mm256_storeu_ps(cr + j,
+                                 _mm256_fmadd_ps(av, _mm256_loadu_ps(bp + j),
+                                                 _mm256_loadu_ps(cr + j)));
+            for (; j < n; ++j)
+                cr[j] = std::fma(as, bp[j], cr[j]);
+        }
+    }
+}
+
+/**
+ * Shared broadcast-FMA GEMM loop nest over output rows [i0, i1). A block
+ * shorter than the 4-row tile streams B row by row (streamRows).
+ * Otherwise the 16-wide j-panel loop is outermost so B's panel stays
+ * hot in L1 while the i loop streams A; scalar tail columns replay the
+ * identical per-element fold with std::fma (compiled to vfmadd in this
+ * TU).
  */
 void
 gemmBroadcastRows(const float *a, size_t ra, size_t pa, const Matrix &b,
@@ -150,6 +224,18 @@ gemmBroadcastRows(const float *a, size_t ra, size_t pa, const Matrix &b,
     const size_t ldb = n, ldc = n;
     const float *bd = b.data();
     float *cd = c.data();
+    switch (i1 - i0) {
+    case 0:
+        return;
+    case 1:
+        return streamRows<1>(a + i0 * ra, ra, pa, bd, n, cd + i0 * ldc, k);
+    case 2:
+        return streamRows<2>(a + i0 * ra, ra, pa, bd, n, cd + i0 * ldc, k);
+    case 3:
+        return streamRows<3>(a + i0 * ra, ra, pa, bd, n, cd + i0 * ldc, k);
+    default:
+        break;
+    }
     const size_t n16 = n - n % 16;
     const size_t n8 = n - n % 8;
 
@@ -235,28 +321,28 @@ matmulBTRowsAvx2(const Matrix &a, const Matrix &b, Matrix &c, size_t i0,
 }
 
 void
-sparseScoreRowAvx2(const float *q, const Matrix &keys,
-                   const uint32_t *cols, size_t nnz, float *out)
+sparseScoreRowAvx2(const float *q, const Matrix &keys, size_t off,
+                   size_t width, const uint32_t *cols, size_t nnz,
+                   float *out)
 {
-    const size_t k = keys.cols();
     size_t t = 0;
     for (; t + 4 <= nnz; t += 4) {
-        const float *rows[4] = {keys.row(cols[t]), keys.row(cols[t + 1]),
-                                keys.row(cols[t + 2]),
-                                keys.row(cols[t + 3])};
-        dot4Avx2(q, rows, k, out + t);
+        const float *rows[4] = {
+            keys.row(cols[t]) + off, keys.row(cols[t + 1]) + off,
+            keys.row(cols[t + 2]) + off, keys.row(cols[t + 3]) + off};
+        dot4Avx2(q, rows, width, out + t);
     }
     for (; t < nnz; ++t)
-        out[t] = dotAvx2(q, keys.row(cols[t]), k);
+        out[t] = dotAvx2(q, keys.row(cols[t]) + off, width);
 }
 
 void
 sparseAvRowAvx2(const float *vals, const uint32_t *cols, size_t nnz,
-                const Matrix &v, float *out)
+                const Matrix &v, size_t off, size_t width, float *out)
 {
-    const size_t d = v.cols();
-    const size_t ldv = d;
-    const float *vd = v.data();
+    const size_t d = width;
+    const size_t ldv = v.cols();
+    const float *vd = v.data() + off;
     size_t c0 = 0;
     // 64-column register panel: the whole output slice lives in 8 YMM
     // accumulators across the t-fold, so V rows are touched once each.

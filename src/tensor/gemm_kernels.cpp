@@ -89,25 +89,24 @@ matmulBTRowsPortable(const Matrix &a, const Matrix &b, Matrix &c,
 }
 
 void
-sparseScoreRowPortable(const float *q, const Matrix &keys,
-                       const uint32_t *cols, size_t nnz, float *out)
+sparseScoreRowPortable(const float *q, const Matrix &keys, size_t off,
+                       size_t width, const uint32_t *cols, size_t nnz,
+                       float *out)
 {
-    const size_t k = keys.cols();
     for (size_t t = 0; t < nnz; ++t)
-        out[t] = dotPortable(q, keys.row(cols[t]), k);
+        out[t] = dotPortable(q, keys.row(cols[t]) + off, width);
 }
 
 void
 sparseAvRowPortable(const float *vals, const uint32_t *cols, size_t nnz,
-                    const Matrix &v, float *out)
+                    const Matrix &v, size_t off, size_t width, float *out)
 {
-    const size_t d = v.cols();
-    for (size_t c = 0; c < d; ++c)
+    for (size_t c = 0; c < width; ++c)
         out[c] = 0.0f;
     for (size_t t = 0; t < nnz; ++t) {
         const float av = vals[t];
-        const float *vrow = v.row(cols[t]);
-        for (size_t c = 0; c < d; ++c)
+        const float *vrow = v.row(cols[t]) + off;
+        for (size_t c = 0; c < width; ++c)
             out[c] = std::fma(av, vrow[c], out[c]);
     }
 }

@@ -71,20 +71,26 @@ struct GemmKernelTable
     float (*dot)(const float *x, const float *y, size_t k);
 
     /**
-     * One query row of the sparse score kernel: out[t] = dot(q, keys row
-     * cols[t]) for t in [0, nnz), each element following the dot-family
-     * contract with k = keys.cols().
+     * One query row of the sparse score kernel over the column window
+     * [off, off + width) of the row-major keys: out[t] = dot(q,
+     * keys.row(cols[t]) + off) for t in [0, nnz), each element following
+     * the dot-family contract with k = width. q holds width floats.
+     * Whole-row callers pass (0, keys.cols()); a head of a row-major KV
+     * cache passes its (h * dh, dh) slice.
      */
-    void (*sparseScoreRow)(const float *q, const Matrix &keys,
-                           const uint32_t *cols, size_t nnz, float *out);
+    void (*sparseScoreRow)(const float *q, const Matrix &keys, size_t off,
+                           size_t width, const uint32_t *cols, size_t nnz,
+                           float *out);
 
     /**
-     * One output row of the sparse A*V kernel: for c in [0, v.cols()),
-     * out[c] = broadcast-FMA fold over t ascending of
-     * fma(vals[t], v(cols[t], c), acc), overwriting out.
+     * One output row of the sparse A*V kernel over the column window
+     * [off, off + width) of v: for c in [0, width), out[c] =
+     * broadcast-FMA fold over t ascending of fma(vals[t], v(cols[t],
+     * off + c), acc), overwriting out[0..width).
      */
     void (*sparseAvRow)(const float *vals, const uint32_t *cols,
-                        size_t nnz, const Matrix &v, float *out);
+                        size_t nnz, const Matrix &v, size_t off,
+                        size_t width, float *out);
 
     /**
      * Integer GEMM rows [i0, i1) of C = A * B^T on quantized codes:

@@ -11,6 +11,7 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -81,6 +82,25 @@ class Matrix
                     cols, data_.size());
         rows_ = rows;
         cols_ = cols;
+    }
+
+    /**
+     * Append one row of @p width floats from @p src. An empty matrix
+     * adopts the width; otherwise it must equal cols(). Storage grows
+     * geometrically, so n appends copy O(n) rows in total (the KV-cache
+     * append of incremental decode).
+     */
+    void
+    appendRow(const float *src, size_t width)
+    {
+        DOTA_ASSERT(rows_ == 0 || width == cols_,
+                    "appendRow of {} floats to a {}x{} matrix", width,
+                    rows_, cols_);
+        if (data_.size() == data_.capacity())
+            data_.reserve(std::max<size_t>(2 * data_.size(), width));
+        data_.insert(data_.end(), src, src + width);
+        cols_ = width;
+        ++rows_;
     }
 
     /** Gaussian init with given stddev (used for weight matrices). */

@@ -76,7 +76,7 @@ sparseRowsMatmulBT(const Matrix &a, const Matrix &b, const SparseMask &mask)
     auto rowBlock = [&](size_t r0, size_t r1) {
         for (size_t r = r0; r < r1; ++r) {
             const uint32_t t0 = s.row_ptr[r];
-            kt.sparseScoreRow(a.row(r), b, s.col.data() + t0,
+            kt.sparseScoreRow(a.row(r), b, 0, b.cols(), s.col.data() + t0,
                               s.row_ptr[r + 1] - t0, s.val.data() + t0);
         }
     };
@@ -134,7 +134,8 @@ sparseRowsMatmul(const CsrMatrix &a, const Matrix &v)
         for (size_t r = r0; r < r1; ++r) {
             const uint32_t t0 = a.row_ptr[r];
             kt.sparseAvRow(a.val.data() + t0, a.col.data() + t0,
-                           a.row_ptr[r + 1] - t0, v, out.row(r));
+                           a.row_ptr[r + 1] - t0, v, 0, v.cols(),
+                           out.row(r));
         }
     };
     const uint64_t macs = static_cast<uint64_t>(a.nnz()) * v.cols();

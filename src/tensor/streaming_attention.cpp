@@ -67,7 +67,7 @@ foldTile(const float *qrow, const Matrix &k, const Matrix &v,
     }
 
     // One tile of probabilities against V (broadcast-FMA contract).
-    kt.sparseAvRow(s, cols, cnt, v, tmp);
+    kt.sparseAvRow(s, cols, cnt, v, 0, v.cols(), tmp);
 
     const size_t d = v.cols();
     if (st.first) {
@@ -175,6 +175,7 @@ streamingAttentionQuery(const float *qrow, const Matrix &k, const Matrix &v,
     tile = std::max<size_t>(1, tile);
     const auto &kt = activeGemmKernels();
 
+    std::vector<uint32_t> cols(tile);
     std::vector<float> s(tile);
     std::vector<float> tmp(dh);
     std::vector<float> acc(dh, 0.0f);
@@ -182,28 +183,32 @@ streamingAttentionQuery(const float *qrow, const Matrix &k, const Matrix &v,
     double l = 0.0;
     bool first = true;
 
+    // Scores and probabilities of keys [t0, t1) through the windowed
+    // Level-2 kernels: cache rows are dim-wide, this head is their
+    // [off, off + dh) slice.
+    auto tileScores = [&](size_t t0, size_t t1) {
+        for (size_t i = 0; i < t1 - t0; ++i)
+            cols[i] = static_cast<uint32_t>(t0 + i);
+        kt.sparseScoreRow(qrow, k, off, dh, cols.data(), t1 - t0, s.data());
+        for (size_t i = 0; i < t1 - t0; ++i)
+            s[i] *= scale;
+    };
+
     for (size_t t0 = 0; t0 < t; t0 += tile) {
         const size_t t1 = std::min(t, t0 + tile);
         const size_t cnt = t1 - t0;
+        tileScores(t0, t1);
         float tile_max = -std::numeric_limits<float>::infinity();
-        for (size_t i = 0; i < cnt; ++i) {
-            s[i] = kt.dot(qrow, k.row(t0 + i) + off, dh) * scale;
+        for (size_t i = 0; i < cnt; ++i)
             tile_max = std::max(tile_max, s[i]);
-        }
         const float m_new = std::max(m, tile_max);
         double tile_sum = 0.0;
         for (size_t i = 0; i < cnt; ++i) {
             s[i] = std::exp(s[i] - m_new);
             tile_sum += s[i];
         }
-        // Strided AV fold (cache rows are dim-wide, this head is a
-        // dh-slice): broadcast-FMA over kept keys ascending.
-        std::fill(tmp.begin(), tmp.end(), 0.0f);
-        for (size_t i = 0; i < cnt; ++i) {
-            const float *vr = v.row(t0 + i) + off;
-            for (size_t c = 0; c < dh; ++c)
-                tmp[c] = std::fma(s[i], vr[c], tmp[c]);
-        }
+        // Broadcast-FMA over the tile's keys ascending.
+        kt.sparseAvRow(s.data(), cols.data(), cnt, v, off, dh, tmp.data());
         if (first) {
             std::copy(tmp.begin(), tmp.end(), acc.begin());
             l = tile_sum;
@@ -234,10 +239,9 @@ streamingAttentionQuery(const float *qrow, const Matrix &k, const Matrix &v,
         probs->resize(t);
         for (size_t t0 = 0; t0 < t; t0 += tile) {
             const size_t t1 = std::min(t, t0 + tile);
-            for (size_t j = t0; j < t1; ++j) {
-                const float sc = kt.dot(qrow, k.row(j) + off, dh) * scale;
-                (*probs)[j] = std::exp(sc - m) * inv;
-            }
+            tileScores(t0, t1);
+            for (size_t j = t0; j < t1; ++j)
+                (*probs)[j] = std::exp(s[j - t0] - m) * inv;
         }
     }
 }

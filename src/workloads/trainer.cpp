@@ -61,6 +61,30 @@ accumulateGrads(const std::vector<Parameter *> &params,
     }
 }
 
+/**
+ * Pins the dense attention backend on @p Model while a trainer steps.
+ * Every training forward is followed by a backward, which needs S and A
+ * cached; an installed hook may otherwise allow a non-dense inference
+ * path (a frozen DotaDetector with apply_mask reports wantsFullScores()
+ * == false). Dense masked attention equals the sparse path at kept
+ * coordinates, so only the cached intermediates change.
+ */
+template <class Model>
+class DenseWhileTraining
+{
+  public:
+    explicit DenseWhileTraining(Model &model) : model_(model)
+    {
+        model_.setForceDense(true);
+    }
+    ~DenseWhileTraining() { model_.setForceDense(false); }
+    DenseWhileTraining(const DenseWhileTraining &) = delete;
+    DenseWhileTraining &operator=(const DenseWhileTraining &) = delete;
+
+  private:
+    Model &model_;
+};
+
 } // namespace
 
 ClassifierTrainer::ClassifierTrainer(TransformerClassifier &model,
@@ -81,6 +105,7 @@ ClassifierTrainer::addExtraParams(const std::vector<Parameter *> &params)
 double
 ClassifierTrainer::train()
 {
+    const DenseWhileTraining<TransformerClassifier> dense(model_);
     Adam opt(params_, cfg_.adam);
     Rng data_rng(cfg_.data_seed);
     loss_history_.clear();
@@ -210,6 +235,7 @@ LMTrainer::addExtraParams(const std::vector<Parameter *> &params)
 double
 LMTrainer::train()
 {
+    const DenseWhileTraining<CausalLM> dense(model_);
     Adam opt(params_, cfg_.adam);
     Rng data_rng(cfg_.data_seed);
     loss_history_.clear();

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "nn/attention_backend.hpp"
 #include "nn/decode.hpp"
@@ -39,6 +40,19 @@ TEST(KvCache, AppendGrows)
     EXPECT_EQ(cache.length(), 2u);
     EXPECT_FLOAT_EQ(cache.k(1, 3), 1.0f);
     EXPECT_FLOAT_EQ(cache.v(0, 0), 2.0f);
+}
+
+TEST(KvCache, AppendRejectsMismatchedWidth)
+{
+    // A row wider than the cache must be refused, not copied past the
+    // end of the cache's storage.
+    KvCache cache;
+    cache.append(Matrix(1, 4, 1.0f), Matrix(1, 4, 2.0f));
+    EXPECT_DEATH(cache.append(Matrix(1, 64, 1.0f), Matrix(1, 64, 2.0f)),
+                 "do not match");
+    EXPECT_DEATH(cache.append(Matrix(1, 4, 1.0f), Matrix(1, 3, 2.0f)),
+                 "do not match");
+    EXPECT_EQ(cache.length(), 1u);
 }
 
 TEST(KvCache, MassTracksAttentionAndStaysInSync)
@@ -115,21 +129,56 @@ TEST(KvCache, EvictWeakStateShrinksKvBytesAndDecodingContinues)
         EXPECT_TRUE(std::isfinite(logits(0, c)));
 }
 
-TEST(Decode, MatchesFullForwardDense)
+/**
+ * Every decodeStep logits row of @p ids is bit-identical to the matching
+ * row of the full causal forward. Both sides pin the dense backend:
+ * decode and the layer forward then run the same dot-family scores and
+ * broadcast-FMA A·V folds on the same operands.
+ */
+void
+expectDecodeMatchesForwardBitwise(CausalLM &model,
+                                  const std::vector<int> &ids)
 {
-    CausalLM model(lmCfg());
-    const std::vector<int> ids{3, 7, 1, 12, 5, 9, 0, 4};
+    ScopedAttnChoice pin(AttnChoice::Dense);
     const Matrix full = model.forward(ids);
-
     DecodeState state;
     state.reset(model.config().layers);
+    size_t differ = 0;
     for (size_t t = 0; t < ids.size(); ++t) {
         const Matrix logits = decodeStep(model, state, ids[t]);
         ASSERT_EQ(logits.rows(), 1u);
-        for (size_t c = 0; c < logits.cols(); ++c)
-            EXPECT_NEAR(logits(0, c), full(t, c), 2e-4)
-                << "position " << t << " class " << c;
+        ASSERT_EQ(logits.cols(), full.cols());
+        differ += std::memcmp(logits.row(0), full.row(t),
+                              full.cols() * sizeof(float)) != 0;
     }
+    EXPECT_EQ(differ, 0u) << "positions whose logits differ in any bit";
+}
+
+TEST(Decode, MatchesFullForwardDense)
+{
+    CausalLM model(lmCfg());
+    expectDecodeMatchesForwardBitwise(model, {3, 7, 1, 12, 5, 9, 0, 4});
+}
+
+TEST(Decode, MatchesFullForwardDenseWideHeadsLongContext)
+{
+    // Head dim 64 and more than 64 positions: the 4-key score groups,
+    // the 64-column A·V register panel and the single-row GEMM with a
+    // p tail (k = 100) all run.
+    TransformerConfig cfg;
+    cfg.dim = 128;
+    cfg.heads = 2;
+    cfg.layers = 2;
+    cfg.ffn_dim = 100;
+    cfg.vocab = 37;
+    cfg.max_seq = 96;
+    cfg.seed = 11;
+    CausalLM model(cfg);
+    Rng rng(12);
+    std::vector<int> ids(90);
+    for (int &id : ids)
+        id = static_cast<int>(rng.uniformInt(cfg.vocab));
+    expectDecodeMatchesForwardBitwise(model, ids);
 }
 
 TEST(Decode, StreamingQueryPathMatchesDense)

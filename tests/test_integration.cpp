@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/dota.hpp"
 
 namespace dota {
@@ -75,6 +77,89 @@ TEST(Integration, TrainDetectScheduleSimulate)
     EXPECT_LT(sparse.per_layer.attention.macs,
               full.per_layer.attention.macs);
     EXPECT_GT(sparse.totalCycles(), 0u);
+}
+
+/** Frozen inference detector: masks applied, no detector training. */
+DetectorConfig
+frozenDetector()
+{
+    DetectorConfig dc;
+    dc.retention = 0.25;
+    dc.sigma = 0.5;
+    dc.train = false;
+    dc.apply_mask = true;
+    return dc;
+}
+
+TEST(Integration, FrozenDetectorTrainingStepRunsDense)
+{
+    // A frozen detector reports wantsFullScores() == false, so an
+    // inference forward under it takes the sparse backend. A training
+    // step must still take the dense path its backward needs (the
+    // "no joint optimization" ablation of bench_fig11_accuracy), and
+    // release the pin afterwards.
+    ScopedAttnChoice pin(AttnChoice::Auto);
+    TransformerConfig mc;
+    mc.in_dim = 12;
+    mc.dim = 32;
+    mc.heads = 2;
+    mc.layers = 2;
+    mc.ffn_dim = 64;
+    mc.classes = 2;
+    mc.seed = 31;
+    TransformerClassifier model(mc);
+    TaskConfig tc;
+    tc.seq_len = 32;
+    tc.in_dim = 12;
+    tc.classes = 2;
+    SyntheticTask task(tc);
+    DotaDetector det(mc, frozenDetector());
+    model.setHook(&det);
+
+    TrainConfig trc;
+    trc.steps = 1;
+    trc.batch = 2;
+    ClassifierTrainer trainer(model, task, trc);
+    const MultiHeadAttention &attn = model.blocks()[0]->attention();
+    const Matrix w_before = attn.wq();
+    EXPECT_TRUE(std::isfinite(trainer.train()));
+    EXPECT_GT(Matrix::maxAbsDiff(w_before, attn.wq()), 0.0);
+
+    Rng rng(5);
+    model.forward(task.sample(rng).features);
+    EXPECT_TRUE(attn.lastForwardSparse());
+    model.setHook(nullptr);
+}
+
+TEST(Integration, FrozenDetectorLmTrainingStepRunsDense)
+{
+    ScopedAttnChoice pin(AttnChoice::Auto);
+    TransformerConfig mc;
+    mc.dim = 32;
+    mc.heads = 2;
+    mc.layers = 2;
+    mc.ffn_dim = 64;
+    mc.vocab = 32;
+    mc.max_seq = 40;
+    mc.seed = 37;
+    CausalLM model(mc);
+    GrammarConfig gc;
+    gc.seq_len = 32;
+    gc.vocab = 32;
+    SyntheticGrammar grammar(gc);
+    DotaDetector det(mc, frozenDetector());
+    model.setHook(&det);
+
+    TrainConfig trc;
+    trc.steps = 1;
+    trc.batch = 2;
+    LMTrainer trainer(model, grammar, trc);
+    EXPECT_TRUE(std::isfinite(trainer.train()));
+
+    Rng rng(6);
+    model.forward(grammar.sample(rng));
+    EXPECT_TRUE(model.blocks()[0]->attention().lastForwardSparse());
+    model.setHook(nullptr);
 }
 
 TEST(Integration, JointTrainingKeepsAccuracyAtLowRetention)

@@ -7,8 +7,13 @@
  *    empty extremes;
  *  - bit-exact equivalence of the portable and AVX2 kernel tables (the
  *    per-element reduction contract in tensor/gemm_kernels.hpp);
+ *  - short (1-3 row) GEMM blocks against the literal broadcast-FMA
+ *    fold, bitwise;
  *  - the Level-2 sparse attention kernels against the dense masked
- *    computation, bitwise on kept coordinates;
+ *    computation, bitwise on kept coordinates, and their column
+ *    windows against the portable table;
+ *  - the single-query streaming kernel against its literal tile
+ *    recurrence, bitwise;
  *  - the MultiHeadAttention sparse inference path against its forced
  *    dense path, bitwise.
  */
@@ -16,6 +21,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "common/rng.hpp"
 #include "nn/attention.hpp"
@@ -24,6 +30,7 @@
 #include "tensor/simd.hpp"
 #include "tensor/sparse_mask.hpp"
 #include "tensor/sparse_ops.hpp"
+#include "tensor/streaming_attention.hpp"
 #include "tensor/topk.hpp"
 
 namespace dota {
@@ -82,6 +89,35 @@ naiveMatmulAT(const Matrix &a, const Matrix &b)
             c(i, j) = static_cast<float>(acc);
         }
     return c;
+}
+
+/**
+ * The broadcast-FMA contract spelled out per element: acc folds
+ * fma(a(i, p), b(p, j), acc) over p ascending from +0. Every matmul
+ * must reproduce it bit for bit.
+ */
+Matrix
+fmaFoldMatmul(const Matrix &a, const Matrix &b)
+{
+    Matrix c(a.rows(), b.cols());
+    for (size_t i = 0; i < a.rows(); ++i)
+        for (size_t j = 0; j < b.cols(); ++j) {
+            float acc = 0.0f;
+            for (size_t p = 0; p < a.cols(); ++p)
+                acc = std::fma(a(i, p), b(p, j), acc);
+            c(i, j) = acc;
+        }
+    return c;
+}
+
+/** Columns [off, off + width) of @p m as their own matrix. */
+Matrix
+columnWindow(const Matrix &m, size_t off, size_t width)
+{
+    Matrix w(m.rows(), width);
+    for (size_t r = 0; r < m.rows(); ++r)
+        std::copy(m.row(r) + off, m.row(r) + off + width, w.row(r));
+    return w;
 }
 
 /** Relative-tolerance comparison scaled to the reduction depth. */
@@ -181,6 +217,168 @@ TEST(SimdKernels, PortableAndAvx2TablesBitIdentical)
 
         EXPECT_EQ(portable.dot(a.row(0), a.row(0), k),
                   avx2.dot(a.row(0), a.row(0), k));
+    }
+}
+
+TEST(SimdKernels, ShortRowBlocksMatchFmaFoldAndPortable)
+{
+    // Blocks of 1-3 rows take the AVX2 GEMM's row-streaming order
+    // (decode's single-row GEMMs); the per-element fold must not move.
+    const GemmKernelTable &portable = detail::portableGemmKernels();
+    const size_t dims[] = {1, 5, 17, 100, 1000};
+    for (size_t m : {1u, 2u, 3u})
+        for (size_t k : dims)
+            for (size_t n : dims) {
+                Rng rng(3000 + 100 * m + k + 7 * n);
+                const Matrix a = Matrix::randomNormal(m, k, rng);
+                const Matrix b = Matrix::randomNormal(k, n, rng);
+                const Matrix ref = fmaFoldMatmul(a, b);
+                EXPECT_TRUE(bitIdentical(matmul(a, b), ref))
+                    << "matmul " << m << "x" << k << "x" << n;
+                Matrix c_p(m, n);
+                portable.matmulRows(a, b, c_p, 0, m);
+                EXPECT_TRUE(bitIdentical(c_p, ref))
+                    << "portable " << m << "x" << k << "x" << n;
+                // Same loop nest with A transposed (matmulAT).
+                const Matrix at = transpose(a);
+                EXPECT_TRUE(bitIdentical(matmulAT(at, b), ref))
+                    << "matmulAT " << m << "x" << k << "x" << n;
+            }
+}
+
+TEST(SimdKernels, WindowedLevel2KernelsMatchPortable)
+{
+    // Column windows over row-major keys/values, as decode reads one
+    // head of a KV cache: off > 0, widths off the 8-lane grid and
+    // around the 64-column A·V panel, nnz off the 4-key score groups.
+    const GemmKernelTable &portable = detail::portableGemmKernels();
+    const GemmKernelTable &active = activeGemmKernels();
+    Rng rng(51);
+    const size_t rows = 150, cols = 211;
+    const Matrix keys = Matrix::randomNormal(rows, cols, rng);
+    const Matrix vals = Matrix::randomNormal(rows, cols, rng);
+    struct Window
+    {
+        size_t off, width;
+    };
+    for (const Window w : {Window{3, 13}, Window{64, 64}, Window{17, 71},
+                           Window{100, 111}, Window{1, 1}})
+        for (size_t nnz : {1u, 7u, 30u, 65u, 149u}) {
+            std::vector<uint32_t> ids(nnz);
+            for (size_t t = 0; t < nnz; ++t)
+                ids[t] = static_cast<uint32_t>((t * 37 + 5) % rows);
+            std::vector<float> q(w.width), p(nnz);
+            for (float &x : q)
+                x = static_cast<float>(rng.normal());
+            for (float &x : p)
+                x = 0.01f + std::abs(static_cast<float>(rng.normal()));
+
+            std::vector<float> s_ref(nnz), s_act(nnz);
+            portable.sparseScoreRow(q.data(), keys, w.off, w.width,
+                                    ids.data(), nnz, s_ref.data());
+            active.sparseScoreRow(q.data(), keys, w.off, w.width,
+                                  ids.data(), nnz, s_act.data());
+            EXPECT_EQ(std::memcmp(s_ref.data(), s_act.data(),
+                                  nnz * sizeof(float)),
+                      0)
+                << "scores off=" << w.off << " width=" << w.width
+                << " nnz=" << nnz;
+
+            std::vector<float> z_ref(w.width), z_act(w.width, 7.0f);
+            portable.sparseAvRow(p.data(), ids.data(), nnz, vals, w.off,
+                                 w.width, z_ref.data());
+            active.sparseAvRow(p.data(), ids.data(), nnz, vals, w.off,
+                               w.width, z_act.data());
+            EXPECT_EQ(std::memcmp(z_ref.data(), z_act.data(),
+                                  w.width * sizeof(float)),
+                      0)
+                << "A*V off=" << w.off << " width=" << w.width
+                << " nnz=" << nnz;
+
+            // A window reads exactly what the whole-row kernel reads on
+            // the window copied out.
+            const Matrix kw = columnWindow(keys, w.off, w.width);
+            const Matrix vw = columnWindow(vals, w.off, w.width);
+            std::vector<float> s_whole(nnz), z_whole(w.width);
+            portable.sparseScoreRow(q.data(), kw, 0, w.width, ids.data(),
+                                    nnz, s_whole.data());
+            portable.sparseAvRow(p.data(), ids.data(), nnz, vw, 0, w.width,
+                                 z_whole.data());
+            EXPECT_EQ(s_whole, s_ref);
+            EXPECT_EQ(z_whole, z_ref);
+        }
+}
+
+TEST(SimdKernels, StreamingAttentionQueryBitsUnchanged)
+{
+    // The decode-time single-query streaming kernel against its tile
+    // recurrence spelled out literally: portable-table dot scores and a
+    // std::fma A·V fold per tile. The windowed Level-2 kernels it runs
+    // on must reproduce these bits.
+    const GemmKernelTable &portable = detail::portableGemmKernels();
+    Rng rng(52);
+    const size_t t = 301, dim = 192, dh = 64, tile = 64;
+    const Matrix k = Matrix::randomNormal(t, dim, rng);
+    const Matrix v = Matrix::randomNormal(t, dim, rng);
+    const float sc = 0.125f;
+    for (size_t off : {0u, 64u, 128u}) {
+        std::vector<float> q(dh);
+        for (float &x : q)
+            x = static_cast<float>(rng.normal());
+
+        std::vector<float> s(tile), tmp(dh), acc(dh), out_ref(dh);
+        float m = -std::numeric_limits<float>::infinity();
+        double l = 0.0;
+        for (size_t t0 = 0; t0 < t; t0 += tile) {
+            const size_t cnt = std::min(t, t0 + tile) - t0;
+            float tile_max = -std::numeric_limits<float>::infinity();
+            for (size_t i = 0; i < cnt; ++i) {
+                s[i] = portable.dot(q.data(), k.row(t0 + i) + off, dh) * sc;
+                tile_max = std::max(tile_max, s[i]);
+            }
+            const float m_new = std::max(m, tile_max);
+            double tile_sum = 0.0;
+            for (size_t i = 0; i < cnt; ++i) {
+                s[i] = std::exp(s[i] - m_new);
+                tile_sum += s[i];
+            }
+            std::fill(tmp.begin(), tmp.end(), 0.0f);
+            for (size_t i = 0; i < cnt; ++i)
+                for (size_t c = 0; c < dh; ++c)
+                    tmp[c] = std::fma(s[i], v.row(t0 + i)[off + c], tmp[c]);
+            if (t0 == 0) {
+                acc = tmp;
+                l = tile_sum;
+            } else {
+                const float corr = std::exp(m - m_new);
+                for (size_t c = 0; c < dh; ++c)
+                    acc[c] = std::fma(corr, acc[c], tmp[c]);
+                l = l * static_cast<double>(corr) + tile_sum;
+            }
+            m = m_new;
+        }
+        const float inv = static_cast<float>(1.0 / l);
+        std::vector<float> probs_ref(t);
+        for (size_t c = 0; c < dh; ++c)
+            out_ref[c] = acc[c] * inv;
+        for (size_t j = 0; j < t; ++j)
+            probs_ref[j] =
+                std::exp(portable.dot(q.data(), k.row(j) + off, dh) * sc -
+                         m) *
+                inv;
+
+        std::vector<float> out(dh), probs;
+        streamingAttentionQuery(q.data(), k, v, off, dh, sc, out.data(),
+                                &probs, tile);
+        EXPECT_EQ(std::memcmp(out.data(), out_ref.data(),
+                              dh * sizeof(float)),
+                  0)
+            << "context off=" << off;
+        ASSERT_EQ(probs.size(), t);
+        EXPECT_EQ(std::memcmp(probs.data(), probs_ref.data(),
+                              t * sizeof(float)),
+                  0)
+            << "probabilities off=" << off;
     }
 }
 
