@@ -397,10 +397,11 @@ runInt8Smoke()
 
     // Exact agreement between the active and portable instantiations.
     std::vector<int32_t> c_active(n * n), c_portable(n * n);
-    activeGemmKernels().int8GemmBTRows(qa.codes.data(), qb.codes.data(),
-                                       c_active.data(), n, n, 0, n);
+    activeGemmKernels().int8GemmBTRows(qa.codes.data(), n, qb.codes.data(),
+                                       n, c_active.data(), n, n, n, 0, n);
     detail::portableGemmKernels().int8GemmBTRows(
-        qa.codes.data(), qb.codes.data(), c_portable.data(), n, n, 0, n);
+        qa.codes.data(), n, qb.codes.data(), n, c_portable.data(), n, n, n,
+        0, n);
     for (size_t i = 0; i < n * n; ++i) {
         if (c_active[i] != c_portable[i]) {
             std::fprintf(stderr,

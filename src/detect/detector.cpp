@@ -4,6 +4,7 @@
  */
 #include "detect/detector.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "tensor/gemm_kernels.hpp"
@@ -108,15 +109,22 @@ DotaDetector::estimateRows(size_t slot, bool causal, Matrix *mask)
         est = Matrix(n, n);
     const size_t keep = keepCount(n);
     const auto &kernels = activeGemmKernels();
+    // Inference never reads S~ past the diagonal of a causal row, so
+    // only the visible prefix is estimated; training keeps the full
+    // square for the estimation loss against the full S.
+    const bool prefix = causal && !cfg_.train;
     forRowBlocks(n, n, [&](size_t r0, size_t r1) {
         TopkScratch scratch;
         for (size_t i = r0; i < r1; ++i) {
-            kernels.matmulBTRows(qt, kt, est, i, i + 1);
+            const size_t visible = causal ? i + 1 : n;
+            float *row = est.row(i);
+            kernels.matmulBTRows(qt, kt, est.data(), n,
+                                 prefix ? visible : n, i, i + 1);
+            if (prefix)
+                std::fill(row + visible, row + n, 0.0f);
             if (mask == nullptr)
                 continue;
-            const float *row = est.row(i);
             float *out = mask->row(i);
-            const size_t visible = causal ? i + 1 : n;
             if (!cfg_.use_threshold) {
                 selectRowTopK(row, visible, keep, scratch, out);
                 continue;

@@ -87,7 +87,12 @@ class DotaDetector : public AttentionHook, public Module
     /** Mean estimation loss accumulated since the last call, then reset. */
     double consumeMseLoss();
 
-    /** Estimated score matrix S~ of the last forward for one head. */
+    /**
+     * Estimated score matrix S~ of the last forward for one head. A
+     * causal forward with training off estimates only each row's
+     * visible prefix [0, i]: the upper triangle is zero, not the
+     * estimate (training keeps the full square for its loss).
+     */
     const Matrix &lastEstimate(size_t layer, size_t head) const;
 
     /** Keep-count used for an n-token sequence under this retention. */
@@ -115,8 +120,9 @@ class DotaDetector : public AttentionHook, public Module
      * buffer (reused while n is unchanged), one row at a time through
      * matmulBTRows — the bits matmulBT gives — and, when @p mask is
      * non-null, each row's top-k or threshold selection into the zeroed
-     * n x n @p mask while the row is still in cache. Row blocks run in
-     * parallel above rowParallelElemThreshold().
+     * n x n @p mask while the row is still in cache. A causal row with
+     * training off computes only columns [0, i] and zeroes the rest.
+     * Row blocks run in parallel above rowParallelElemThreshold().
      */
     void estimateRows(size_t slot, bool causal, Matrix *mask);
 

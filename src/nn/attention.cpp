@@ -109,23 +109,22 @@ MultiHeadAttention::forward(const Matrix &x)
         p.k = &kh;
         p.v = &vh;
         p.scale = inv_sqrt_dk;
+        // A hook mask replaces the causal constraint.
+        p.causal = causal_ && !hook_mask;
         SparseMask smask;
         if (kind == AttnBackendKind::Dense ||
             kind == AttnBackendKind::Int8) {
-            // A hook mask replaces the causal constraint; otherwise the
-            // cached triangle (no per-forward n x n rebuild). The int8
-            // backend shares the dense mask contract (its integer
-            // softmax consumes the dense 0/1 keep mask directly).
+            // Dense and int8 take the dense 0/1 keep mask. Hook-free
+            // causal heads compute only the visible triangle (p.causal);
+            // a hook observing S keeps the full square under the cached
+            // triangle (no per-forward n x n rebuild).
             if (hook_mask)
                 p.dense_mask = &masks_[h];
-            else if (causal_)
+            else if (causal_ && hook_)
                 p.dense_mask = &cachedCausalMask(n);
-        } else {
-            if (hook_mask) {
-                smask = SparseMask::fromDense(masks_[h]);
-                p.sparse_mask = &smask;
-            }
-            p.causal = causal_ && !hook_mask;
+        } else if (hook_mask) {
+            smask = SparseMask::fromDense(masks_[h]);
+            p.sparse_mask = &smask;
         }
 
         AttnHeadResult r = backend.runHead(p);

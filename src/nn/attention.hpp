@@ -83,15 +83,20 @@ class MultiHeadAttention : public Module
 
     /**
      * Raw score matrices S = QK^T from the last forward, per head.
-     * Empty for heads whose backend does not capture scores.
+     * Empty for heads whose backend does not capture scores. A causal
+     * forward without a hook computes only the visible triangle: S's
+     * upper triangle (j > i) is zero there, not Q K^T. With a hook
+     * installed (and for non-causal layers) S is the full square, so a
+     * hook with wantsFullScores() still observes every coordinate.
      */
     const std::vector<Matrix> &lastScores() const { return s_raw_; }
 
     /**
      * Hook-selected masks applied in the last forward (empty matrices
      * when the hook kept everything). The causal constraint is not
-     * recorded here — it is implicit (see causal()) and, on the dense
-     * path, applied from the per-length cache below.
+     * recorded here — it is implicit (see causal()): hook-free dense
+     * heads compute only the triangle, and with a hook the full square
+     * runs under the per-length cache below.
      */
     const std::vector<Matrix> &lastMasks() const { return masks_; }
 

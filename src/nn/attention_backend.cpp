@@ -4,6 +4,7 @@
  */
 #include "nn/attention_backend.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <ostream>
 
@@ -38,7 +39,10 @@ choiceSlot()
     return c;
 }
 
-/** Full scores + masked softmax + dense A*V (the pre-refactor path). */
+/**
+ * Full scores + masked softmax + dense A*V (the pre-refactor path);
+ * a hook-free causal head computes only the visible triangle.
+ */
 class DenseBackend final : public AttentionBackend
 {
   public:
@@ -48,11 +52,13 @@ class DenseBackend final : public AttentionBackend
     AttnHeadResult
     runHead(const AttnHeadProblem &p) const override
     {
+        const bool masked = p.dense_mask && !p.dense_mask->empty();
+        if (!masked && p.causal)
+            return denseCausalHead(*p.q, *p.k, *p.v, p.scale);
         AttnHeadResult r;
         // Raw scores S = Q K^T (pre-scaling, matching Eq. 5's target).
         r.scores = matmulBT(*p.q, *p.k);
         const Matrix scaled = scale(r.scores, p.scale);
-        const bool masked = p.dense_mask && !p.dense_mask->empty();
         r.probs = masked ? rowSoftmaxMasked(scaled, *p.dense_mask)
                          : rowSoftmax(scaled);
         r.z = matmul(r.probs, *p.v);
@@ -103,8 +109,8 @@ class StreamingBackend final : public AttentionBackend
 /**
  * Dynamically-quantized integer attention: per-head scales from the
  * live tensors, u8 x s8 maddubs GEMMs, ITA-style integer softmax. The
- * mask contract matches Dense (a dense 0/1 keep mask covering both the
- * hook mask and the causal triangle).
+ * mask contract matches Dense (a dense 0/1 keep mask, or the causal
+ * triangle when there is none).
  */
 class Int8Backend final : public AttentionBackend
 {
@@ -115,8 +121,6 @@ class Int8Backend final : public AttentionBackend
     AttnHeadResult
     runHead(const AttnHeadProblem &p) const override
     {
-        const size_t n = p.q->rows();
-        const size_t t = p.k->rows();
         // Per-head dynamic scales: 7-bit grid for the u8 query side,
         // full s8 for keys/values (saturation-free maddubs operands).
         const U8Tensor qq =
@@ -125,31 +129,21 @@ class Int8Backend final : public AttentionBackend
             quantizeS8(*p.k, chooseSymmetricScale(*p.k, 8).scale);
         const Int8Tensor vt = quantizeS8Transposed(
             *p.v, chooseSymmetricScale(*p.v, 8).scale);
-
-        std::vector<int32_t> raw(n * t);
-        int8GemmBT(qq, kk, raw.data());
-
         const IntSoftmaxLut lut(qq.scale * kk.scale * p.scale);
         const bool masked = p.dense_mask && !p.dense_mask->empty();
-        U8Tensor probs;
-        probs.rows = n;
-        probs.k = t;
-        probs.scale = lut.probScale();
-        probs.zero_point = 0;
-        probs.codes.resize(n * t);
-        forRowBlocks(n, t, [&](size_t r0, size_t r1) {
-            std::vector<uint32_t> scratch(t);
-            for (size_t i = r0; i < r1; ++i)
-                lut.softmaxRow(raw.data() + i * t, t,
-                               masked ? p.dense_mask->row(i) : nullptr,
-                               probs.codes.data() + i * t, scratch);
-        });
-
         AttnHeadResult r;
-        r.z = int8MatmulBT(probs, vt);
+        r.z = int8AttentionHead(qq, kk, vt, lut,
+                                masked ? p.dense_mask : nullptr, p.causal);
         return r;
     }
 };
+
+/**
+ * Query rows per step of the int8 head: the step's s32 scores, u8
+ * probabilities and A*V sums stay cache-sized, and a causal step folds
+ * at most this many rows' worth of zeros past the diagonal.
+ */
+constexpr size_t kInt8HeadRows = 16;
 
 } // namespace
 
@@ -290,6 +284,90 @@ attentionBackend(AttnBackendKind kind)
         break;
     }
     return dense;
+}
+
+AttnHeadResult
+denseCausalHead(const Matrix &q, const Matrix &k, const Matrix &v,
+                float scale, const GemmKernelTable &kt)
+{
+    const size_t n = q.rows();
+    DOTA_ASSERT(k.rows() == n && v.rows() == n && q.cols() == k.cols(),
+                "causal head q {} k {} v {}", q.shapeStr(), k.shapeStr(),
+                v.shapeStr());
+    AttnHeadResult r;
+    r.scores = Matrix(n, n);
+    r.probs = Matrix(n, n);
+    r.z = Matrix(n, v.cols());
+    forCausalRowBlocks(n, [&](size_t r0, size_t r1) {
+        for (size_t i = r0; i < r1; ++i) {
+            kt.matmulBTRows(q, k, r.scores.data(), n, i + 1, i, i + 1);
+            scaledSoftmaxRow(r.scores.row(i), scale, i + 1, r.probs.row(i));
+        }
+        kt.matmulRows(r.probs.data(), n, v, r.z, r0, r1, n, true);
+    });
+    return r;
+}
+
+Matrix
+int8AttentionHead(const U8Tensor &q, const Int8Tensor &k,
+                  const Int8Tensor &vt, const IntSoftmaxLut &lut,
+                  const Matrix *keep, bool causal,
+                  std::vector<int32_t> *scores, const GemmKernelTable &kt)
+{
+    const size_t n = q.rows, t = k.rows, dh = vt.rows;
+    const bool triangle = causal && keep == nullptr;
+    DOTA_ASSERT(q.k == k.k && vt.k == t && (!triangle || n == t),
+                "int8 head q {}x{} k {}x{} vt {}x{}", n, q.k, t, k.k, dh,
+                vt.k);
+    DOTA_ASSERT(scores == nullptr || !triangle,
+                "int8 head: full scores requested from the causal triangle");
+    if (scores != nullptr)
+        scores->assign(n * t, 0);
+    Matrix z(n, dh);
+    const float out_scale = lut.probScale() * vt.scale;
+    // Rows [r0, r1) in steps of kInt8HeadRows: a step's rows see at most
+    // its last row + 1 keys on the triangle, all t otherwise.
+    auto block = [&](size_t r0, size_t r1) {
+        const size_t step = std::min(kInt8HeadRows, r1 - r0);
+        const size_t width = triangle ? r1 : t;
+        std::vector<int32_t> local(scores != nullptr ? 0 : step * width);
+        std::vector<uint8_t> probs(step * width);
+        std::vector<uint32_t> scratch(width);
+        std::vector<int32_t> acc(step * dh);
+        for (size_t s0 = r0; s0 < r1; s0 += step) {
+            const size_t s1 = std::min(r1, s0 + step);
+            const size_t rows = s1 - s0;
+            const size_t cols = triangle ? s1 : t;
+            int32_t *raw = scores != nullptr ? scores->data() + s0 * t
+                                             : local.data();
+            const size_t ldr = scores != nullptr ? t : cols;
+            kt.int8GemmBTRows(q.row(s0), q.k, k.codes.data(), k.k, raw, ldr,
+                              q.k, cols, 0, rows);
+            if (q.zero_point != 0)
+                for (size_t i = 0; i < rows; ++i)
+                    for (size_t j = 0; j < cols; ++j)
+                        raw[i * ldr + j] -= q.zero_point * k.row_sums[j];
+            // Probabilities past a row's visible prefix are zero, so the
+            // step-wide A*V fold below adds only exact zeros for them.
+            std::fill(probs.begin(), probs.begin() + rows * cols, 0);
+            for (size_t i = s0; i < s1; ++i)
+                lut.softmaxRow(raw + (i - s0) * ldr, triangle ? i + 1 : t,
+                               keep != nullptr ? keep->row(i) : nullptr,
+                               probs.data() + (i - s0) * cols, scratch);
+            kt.int8GemmBTRows(probs.data(), cols, vt.codes.data(), vt.k,
+                              acc.data(), dh, cols, dh, 0, rows);
+            for (size_t i = 0; i < rows; ++i) {
+                float *zrow = z.row(s0 + i);
+                for (size_t c = 0; c < dh; ++c)
+                    zrow[c] = static_cast<float>(acc[i * dh + c]) * out_scale;
+            }
+        }
+    };
+    if (triangle)
+        forCausalRowBlocks(n, block);
+    else
+        forRowBlocks(n, t, block);
+    return z;
 }
 
 } // namespace dota

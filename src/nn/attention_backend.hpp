@@ -8,10 +8,12 @@
  * int8/ITA-style or token-routing paths later) slot in without touching
  * every caller:
  *
- *  - DenseBackend: full n x n scores + masked softmax + dense A*V.
- *    The only backend that materializes S and A — required whenever a
- *    hook needs full scores (training) or measurement code forces it.
- *    Bit-identical to the pre-refactor dense path.
+ *  - DenseBackend: full n x n scores + masked softmax + dense A*V, or
+ *    for a hook-free causal head only the visible triangle
+ *    (denseCausalHead). The only backend that materializes S and A —
+ *    required whenever a hook needs full scores (training) or
+ *    measurement code forces it. Bit-identical to the pre-refactor
+ *    dense path (S above the diagonal excepted on the triangle).
  *  - SparseRowsBackend: CSR kernels of tensor/sparse_ops.hpp; scores
  *    only at mask-kept coordinates, bit-identical to the dense masked
  *    path at those coordinates. Needs a hook-selected mask.
@@ -37,7 +39,11 @@
 
 #include <iosfwd>
 #include <string>
+#include <vector>
 
+#include "tensor/gemm_kernels.hpp"
+#include "tensor/int8_gemm.hpp"
+#include "tensor/int_softmax.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/sparse_mask.hpp"
 #include "tensor/streaming_attention.hpp"
@@ -132,8 +138,10 @@ struct AttnHeadProblem
     float scale = 1.0f;        ///< 1/sqrt(d_k)
 
     /**
-     * Dense keep mask for the dense backend (hook mask, or the cached
-     * causal triangle); nullptr/empty = unmasked softmax.
+     * Dense keep mask for the dense and int8 backends (a hook mask, or
+     * the cached causal triangle when a hook needs the full square);
+     * nullptr/empty = no mask. A mask wins over @c causal: those
+     * backends then compute the full n x n square under it.
      */
     const Matrix *dense_mask = nullptr;
 
@@ -144,16 +152,22 @@ struct AttnHeadProblem
     const SparseMask *sparse_mask = nullptr;
 
     /**
-     * Implicit causal bound for the streaming backend. False whenever
-     * a hook mask is present — a hook mask replaces the causal
-     * constraint, exactly as in the dense path.
+     * Implicit causal bound: row i attends to keys [0, i] only. The
+     * streaming backend skips tiles past the diagonal; with no
+     * dense_mask the dense and int8 backends compute only the visible
+     * triangle (denseCausalHead, int8AttentionHead). False whenever a
+     * hook mask is present — a hook mask replaces the causal
+     * constraint.
      */
     bool causal = false;
 
     size_t tile = kStreamingAttnTile; ///< streaming KV-tile width
 };
 
-/** One head's outputs. scores/probs are filled by Dense only. */
+/**
+ * One head's outputs. scores/probs are filled by Dense only; after a
+ * causal triangle (denseCausalHead) their upper triangles are zero.
+ */
 struct AttnHeadResult
 {
     Matrix z;      ///< context, n x dh
@@ -183,5 +197,48 @@ class AttentionBackend
 
 /** The singleton backend instance for @p kind. */
 const AttentionBackend &attentionBackend(AttnBackendKind kind);
+
+/**
+ * The dense backend's causal head without a mask: only the visible
+ * triangle is computed. Row i gets scores S[i, 0..i] (dot family),
+ * softmax over that prefix (scaledSoftmaxRow) and z[i] folded over
+ * p <= i (broadcast-FMA, matmulRows' causal extent), in row blocks that
+ * forCausalRowBlocks balances across threads. Every computed element
+ * follows its documented fold and the skipped terms are exact zeros,
+ * so z, A and the lower triangle of S equal the full-square masked
+ * path bit for bit on finite inputs, at every ISA and thread count;
+ * S's and A's upper triangles stay zero. Non-finite values in a later
+ * token's K/V no longer reach earlier rows (coordinates are skipped,
+ * not multiplied by zero). @p kt selects the kernel table (tests pin
+ * both); q, k, v must be n x dh, n x dh, n x dh.
+ */
+AttnHeadResult denseCausalHead(const Matrix &q, const Matrix &k,
+                               const Matrix &v, float scale,
+                               const GemmKernelTable &kt =
+                                   activeGemmKernels());
+
+/**
+ * The integer attention head shared by the int8 backend and the
+ * calibrated int8 forward (nn/int8_infer.hpp): raw s32 scores q k^T
+ * with zero-point compensation, integer softmax through @p lut, then
+ * probabilities x vt^T dequantized at lut.probScale() * vt.scale.
+ *
+ * With @p keep (a 0/1 keep mask) or neither keep nor @p causal, every
+ * row spans all t = k.rows keys. With @p causal and no @p keep, row i
+ * only computes scores and softmax over keys [0, i] and folds the A*V
+ * sum over them — the integer twin of denseCausalHead, exact by s32
+ * arithmetic, so the output equals the full-square masked sequence
+ * bit for bit. Row blocks run in parallel (forRowBlocks, or
+ * forCausalRowBlocks for the triangle) with block-local buffers.
+ *
+ * @param scores when non-null, receives the n x t raw compensated
+ *               scores (full square only; hooks observing S).
+ * @param kt     kernel table (tests pin both).
+ */
+Matrix int8AttentionHead(const U8Tensor &q, const Int8Tensor &k,
+                         const Int8Tensor &vt, const IntSoftmaxLut &lut,
+                         const Matrix *keep, bool causal,
+                         std::vector<int32_t> *scores = nullptr,
+                         const GemmKernelTable &kt = activeGemmKernels());
 
 } // namespace dota

@@ -9,6 +9,7 @@
 #include <cmath>
 
 #include "common/rng.hpp"
+#include "nn/attention_backend.hpp"
 #include "tensor/gemm_kernels.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/quant.hpp"
@@ -43,9 +44,10 @@ observeRange(float &range, const Matrix &m)
 
 /**
  * fp32 replication of one encoder block (the dense path of
- * EncoderBlock::forward, hook-free), recording max |x| at each int8
- * quantization site. The same accessor-based re-implementation pattern
- * as the incremental decode path (nn/decode.cpp).
+ * EncoderBlock::forward, hook-free: the dense backend's head),
+ * recording max |x| at each int8 quantization site. The same
+ * accessor-based re-implementation pattern as the incremental decode
+ * path (nn/decode.cpp).
  */
 Matrix
 calibrateBlock(EncoderBlock &blk, Int8LayerRanges &r, const Matrix &x,
@@ -64,17 +66,19 @@ calibrateBlock(EncoderBlock &blk, Int8LayerRanges &r, const Matrix &x,
     observeRange(r.k, k);
     observeRange(r.v, v);
 
-    const float inv_sqrt_dk = 1.0f / std::sqrt(static_cast<float>(dh));
     Matrix z(n, attn.heads() * dh);
     for (size_t h = 0; h < heads; ++h) {
         const Matrix qh = colSlice(q, h, dh);
         const Matrix kh = colSlice(k, h, dh);
         const Matrix vh = colSlice(v, h, dh);
-        const Matrix scores = scale(matmulBT(qh, kh), inv_sqrt_dk);
-        const Matrix probs =
-            causal ? rowSoftmaxMasked(scores, attn.cachedCausalMask(n))
-                   : rowSoftmax(scores);
-        const Matrix zh = matmul(probs, vh);
+        AttnHeadProblem p;
+        p.q = &qh;
+        p.k = &kh;
+        p.v = &vh;
+        p.scale = 1.0f / std::sqrt(static_cast<float>(dh));
+        p.causal = causal;
+        const Matrix zh =
+            attentionBackend(AttnBackendKind::Dense).runHead(p).z;
         for (size_t i = 0; i < n; ++i)
             std::copy(zh.row(i), zh.row(i) + dh, z.row(i) + h * dh);
     }
@@ -153,7 +157,7 @@ int8Block(EncoderBlock &blk, const Int8BlockPlan &bp, const Matrix &x,
         hook->beginLayer(layer, x);
 
     Matrix z(n, d);
-    std::vector<int32_t> raw(n * n);
+    std::vector<int32_t> raw;
     for (size_t h = 0; h < heads; ++h) {
         const Matrix qh = colSlice(q, h, dh);
         const Matrix kh = colSlice(k, h, dh);
@@ -164,35 +168,24 @@ int8Block(EncoderBlock &blk, const Int8BlockPlan &bp, const Matrix &x,
             hook->observeQK(layer, h, qh, kh);
             mask = hook->selectMask(layer, h, causal);
         }
-        // A hook mask replaces the causal constraint (same rule as the
-        // fp attention layer).
+        // Same rule as the fp attention layer: a hook mask replaces the
+        // causal constraint; with a hook but no mask the full square
+        // runs under the cached triangle; hook-free causal heads compute
+        // only the triangle.
         const Matrix *keep = nullptr;
         if (!mask.empty())
             keep = &mask;
-        else if (causal)
+        else if (causal && hook)
             keep = &attn.cachedCausalMask(n);
 
         const U8Tensor qq = quantizeU8(qh, bp.q_scale);
         const Int8Tensor kk = quantizeS8(kh, bp.k_scale);
         const Int8Tensor vt = quantizeS8Transposed(vh, bp.v_scale);
 
-        int8GemmBT(qq, kk, raw.data());
-
-        U8Tensor probs;
-        probs.rows = n;
-        probs.k = n;
-        probs.scale = bp.softmax.probScale();
-        probs.zero_point = 0;
-        probs.codes.resize(n * n);
-        forRowBlocks(n, n, [&](size_t r0, size_t r1) {
-            std::vector<uint32_t> scratch(n);
-            for (size_t i = r0; i < r1; ++i)
-                bp.softmax.softmaxRow(raw.data() + i * n, n,
-                                      keep ? keep->row(i) : nullptr,
-                                      probs.codes.data() + i * n, scratch);
-        });
-
-        if (hook && hook->wantsFullScores()) {
+        const bool observe = hook && hook->wantsFullScores();
+        const Matrix zh = int8AttentionHead(qq, kk, vt, bp.softmax, keep,
+                                            causal, observe ? &raw : nullptr);
+        if (observe) {
             // Estimation-loss hooks observe the dequantized raw scores
             // (the integer path's view of S = QK^T).
             Matrix s(n, n);
@@ -201,8 +194,6 @@ int8Block(EncoderBlock &blk, const Int8BlockPlan &bp, const Matrix &x,
                 s.data()[i] = static_cast<float>(raw[i]) * ss;
             hook->observeScores(layer, h, s);
         }
-
-        const Matrix zh = int8MatmulBT(probs, vt);
         for (size_t i = 0; i < n; ++i)
             std::copy(zh.row(i), zh.row(i) + dh, z.row(i) + h * dh);
     }

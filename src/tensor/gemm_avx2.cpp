@@ -26,6 +26,7 @@
  */
 #include "tensor/gemm_kernels.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <immintrin.h>
 #include <type_traits>
@@ -92,12 +93,15 @@ dot4Avx2(const float *x, const float *const y[4], size_t k, float *out)
 /**
  * MR x 16 register tile of the broadcast-FMA GEMM. The A element for
  * output row r at reduction step p sits at a[r * ra + p * pa]: ra=lda,
- * pa=1 expresses C = A*B; ra=1, pa=lda expresses C = A^T*B.
+ * pa=1 expresses C = A*B; ra=1, pa=lda expresses C = A^T*B. Every row
+ * folds p over [0, k); row r then folds min(r, extra) further steps
+ * p = k, k + 1, ..., which is how a causal tile's rows each stop at
+ * their own diagonal (extra = 0 for an ordinary GEMM).
  */
 template <int MR>
 inline void
 micro16(const float *a, size_t ra, size_t pa, const float *b, size_t ldb,
-        float *c, size_t ldc, size_t k)
+        float *c, size_t ldc, size_t k, size_t extra)
 {
     __m256 acc[MR][2];
     for (int r = 0; r < MR; ++r)
@@ -112,17 +116,30 @@ micro16(const float *a, size_t ra, size_t pa, const float *b, size_t ldb,
             acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
         }
     }
+    for (size_t e = 0; e < extra; ++e) {
+        const size_t p = k + e;
+        const float *brow = b + p * ldb;
+        const __m256 b0 = _mm256_loadu_ps(brow);
+        const __m256 b1 = _mm256_loadu_ps(brow + 8);
+        for (int r = 0; r < MR; ++r) {
+            if (static_cast<size_t>(r) <= e)
+                continue;
+            const __m256 av = _mm256_set1_ps(a[r * ra + p * pa]);
+            acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
+            acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
+        }
+    }
     for (int r = 0; r < MR; ++r) {
         _mm256_storeu_ps(c + r * ldc, acc[r][0]);
         _mm256_storeu_ps(c + r * ldc + 8, acc[r][1]);
     }
 }
 
-/** MR x 8 edge tile (single-vector column panel). */
+/** MR x 8 edge tile (single-vector column panel; extents as micro16). */
 template <int MR>
 inline void
 micro8(const float *a, size_t ra, size_t pa, const float *b, size_t ldb,
-       float *c, size_t ldc, size_t k)
+       float *c, size_t ldc, size_t k, size_t extra)
 {
     __m256 acc[MR];
     for (int r = 0; r < MR; ++r)
@@ -132,6 +149,14 @@ micro8(const float *a, size_t ra, size_t pa, const float *b, size_t ldb,
         for (int r = 0; r < MR; ++r)
             acc[r] = _mm256_fmadd_ps(_mm256_set1_ps(a[r * ra + p * pa]),
                                      bv, acc[r]);
+    }
+    for (size_t e = 0; e < extra; ++e) {
+        const size_t p = k + e;
+        const __m256 bv = _mm256_loadu_ps(b + p * ldb);
+        for (int r = 0; r < MR; ++r)
+            if (static_cast<size_t>(r) > e)
+                acc[r] = _mm256_fmadd_ps(
+                    _mm256_set1_ps(a[r * ra + p * pa]), bv, acc[r]);
     }
     for (int r = 0; r < MR; ++r)
         _mm256_storeu_ps(c + r * ldc, acc[r]);
@@ -145,12 +170,13 @@ micro8(const float *a, size_t ra, size_t pa, const float *b, size_t ldb,
  * This is the single-row GEMM of decode: a 16-column panel walk would
  * touch a new row of B at every p and leave one fma latency chain per
  * accumulator, while here every B row is read once, sequentially, and
- * the columns of a row are independent chains.
+ * the columns of a row are independent chains. Extents as micro16: row
+ * r folds min(r, extra) steps past k.
  */
 template <int MR>
 void
 streamRows(const float *a, size_t ra, size_t pa, const float *b, size_t n,
-           float *c, size_t k)
+           float *c, size_t k, size_t extra)
 {
     const size_t n8 = n - n % 8;
     size_t p = 0;
@@ -191,9 +217,11 @@ streamRows(const float *a, size_t ra, size_t pa, const float *b, size_t n,
                 c[r * n + j] = x;
             }
     }
-    for (; p < k; ++p) {
+    for (; p < k + extra; ++p) {
         const float *bp = b + p * n;
         for (int r = 0; r < MR; ++r) {
+            if (p >= k && static_cast<size_t>(r) <= p - k)
+                continue;
             const float as = a[r * ra + p * pa];
             const __m256 av = _mm256_set1_ps(as);
             float *cr = c + r * n;
@@ -209,30 +237,43 @@ streamRows(const float *a, size_t ra, size_t pa, const float *b, size_t n,
 }
 
 /**
- * Shared broadcast-FMA GEMM loop nest over output rows [i0, i1). A block
- * shorter than the 4-row tile streams B row by row (streamRows).
- * Otherwise the 16-wide j-panel loop is outermost so B's panel stays
- * hot in L1 while the i loop streams A; scalar tail columns replay the
- * identical per-element fold with std::fma (compiled to vfmadd in this
- * TU).
+ * Shared broadcast-FMA GEMM loop nest over output rows [i0, i1), row i
+ * folding p over [0, kend(i)) with kend(i) = k, or min(k, i + 1) when
+ * @p causal is set. A block shorter than the 4-row tile streams B row
+ * by row (streamRows). Otherwise the 16-wide j-panel loop is outermost
+ * so B's panel stays hot in L1 while the i loop streams A; scalar tail
+ * columns replay the identical per-element fold with std::fma (compiled
+ * to vfmadd in this TU). A tile of rows [i, i + MR) folds the common
+ * extent kend(i) for all rows and then the few causal steps that only
+ * its lower rows take.
  */
 void
 gemmBroadcastRows(const float *a, size_t ra, size_t pa, const Matrix &b,
-                  Matrix &c, size_t i0, size_t i1, size_t k)
+                  Matrix &c, size_t i0, size_t i1, size_t k, bool causal)
 {
     const size_t n = b.cols();
     const size_t ldb = n, ldc = n;
     const float *bd = b.data();
     float *cd = c.data();
+    auto kend = [&](size_t i) {
+        return causal ? std::min(k, i + 1) : k;
+    };
+    // Steps past kend(i) that row i + mr - 1 of a tile takes.
+    auto extra = [&](size_t i, size_t mr) {
+        return kend(i + mr - 1) - kend(i);
+    };
     switch (i1 - i0) {
     case 0:
         return;
     case 1:
-        return streamRows<1>(a + i0 * ra, ra, pa, bd, n, cd + i0 * ldc, k);
+        return streamRows<1>(a + i0 * ra, ra, pa, bd, n, cd + i0 * ldc,
+                             kend(i0), 0);
     case 2:
-        return streamRows<2>(a + i0 * ra, ra, pa, bd, n, cd + i0 * ldc, k);
+        return streamRows<2>(a + i0 * ra, ra, pa, bd, n, cd + i0 * ldc,
+                             kend(i0), extra(i0, 2));
     case 3:
-        return streamRows<3>(a + i0 * ra, ra, pa, bd, n, cd + i0 * ldc, k);
+        return streamRows<3>(a + i0 * ra, ra, pa, bd, n, cd + i0 * ldc,
+                             kend(i0), extra(i0, 3));
     default:
         break;
     }
@@ -261,26 +302,27 @@ gemmBroadcastRows(const float *a, size_t ra, size_t pa, const Matrix &b,
     for (size_t j0 = 0; j0 < n16; j0 += 16)
         rowTiles(
             [&](auto mr, size_t i, size_t j) {
-                micro16<decltype(mr)::value>(a + i * ra, ra, pa, bd + j,
-                                             ldb, cd + i * ldc + j, ldc,
-                                             k);
+                constexpr int MR = decltype(mr)::value;
+                micro16<MR>(a + i * ra, ra, pa, bd + j, ldb,
+                            cd + i * ldc + j, ldc, kend(i), extra(i, MR));
             },
             j0);
     if (n8 > n16)
         rowTiles(
             [&](auto mr, size_t i, size_t j) {
-                micro8<decltype(mr)::value>(a + i * ra, ra, pa, bd + j,
-                                            ldb, cd + i * ldc + j, ldc,
-                                            k);
+                constexpr int MR = decltype(mr)::value;
+                micro8<MR>(a + i * ra, ra, pa, bd + j, ldb,
+                           cd + i * ldc + j, ldc, kend(i), extra(i, MR));
             },
             n16);
     // Scalar tail columns: same ascending-p fold per element.
     for (size_t i = i0; i < i1; ++i) {
         float *crow = cd + i * ldc;
         const float *ai = a + i * ra;
+        const size_t ke = kend(i);
         for (size_t j = n8; j < n; ++j) {
             float acc = 0.0f;
-            for (size_t p = 0; p < k; ++p)
+            for (size_t p = 0; p < ke; ++p)
                 acc = std::fma(ai[p * pa], bd[p * ldb + j], acc);
             crow[j] = acc;
         }
@@ -288,34 +330,35 @@ gemmBroadcastRows(const float *a, size_t ra, size_t pa, const Matrix &b,
 }
 
 void
-matmulRowsAvx2(const Matrix &a, const Matrix &b, Matrix &c, size_t i0,
-               size_t i1)
+matmulRowsAvx2(const float *a, size_t lda, const Matrix &b, Matrix &c,
+               size_t i0, size_t i1, size_t k, bool causal)
 {
-    gemmBroadcastRows(a.data(), a.cols(), 1, b, c, i0, i1, a.cols());
+    gemmBroadcastRows(a, lda, 1, b, c, i0, i1, k, causal);
 }
 
 void
 matmulATRowsAvx2(const Matrix &a, const Matrix &b, Matrix &c, size_t i0,
                  size_t i1)
 {
-    gemmBroadcastRows(a.data(), 1, a.cols(), b, c, i0, i1, a.rows());
+    gemmBroadcastRows(a.data(), 1, a.cols(), b, c, i0, i1, a.rows(),
+                      false);
 }
 
 void
-matmulBTRowsAvx2(const Matrix &a, const Matrix &b, Matrix &c, size_t i0,
-                 size_t i1)
+matmulBTRowsAvx2(const Matrix &a, const Matrix &b, float *c, size_t ldc,
+                 size_t ncols, size_t i0, size_t i1)
 {
-    const size_t k = a.cols(), n = b.rows();
+    const size_t k = a.cols();
     for (size_t i = i0; i < i1; ++i) {
         const float *arow = a.row(i);
-        float *crow = c.row(i);
+        float *crow = c + i * ldc;
         size_t j = 0;
-        for (; j + 4 <= n; j += 4) {
+        for (; j + 4 <= ncols; j += 4) {
             const float *rows[4] = {b.row(j), b.row(j + 1), b.row(j + 2),
                                     b.row(j + 3)};
             dot4Avx2(arow, rows, k, crow + j);
         }
-        for (; j < n; ++j)
+        for (; j < ncols; ++j)
             crow[j] = dotAvx2(arow, b.row(j), k);
     }
 }
@@ -446,23 +489,24 @@ hsum4Epi32(__m256i v0, __m256i v1, __m256i v2, __m256i v3)
  * exactness makes any decomposition equivalent.
  */
 void
-int8GemmBTRowsAvx2(const uint8_t *a, const int8_t *b, int32_t *c,
-                   size_t k, size_t n, size_t i0, size_t i1)
+int8GemmBTRowsAvx2(const uint8_t *a, size_t lda, const int8_t *b,
+                   size_t ldb, int32_t *c, size_t ldc, size_t k, size_t n,
+                   size_t i0, size_t i1)
 {
     const __m256i ones = _mm256_set1_epi16(1);
     const size_t kb = k - k % 32;
     size_t i = i0;
     for (; i + 2 <= i1; i += 2) {
-        const uint8_t *a0 = a + i * k;
-        const uint8_t *a1 = a0 + k;
-        int32_t *c0 = c + i * n;
-        int32_t *c1 = c0 + n;
+        const uint8_t *a0 = a + i * lda;
+        const uint8_t *a1 = a0 + lda;
+        int32_t *c0 = c + i * ldc;
+        int32_t *c1 = c0 + ldc;
         size_t j = 0;
         for (; j + 4 <= n; j += 4) {
-            const int8_t *b0 = b + j * k;
-            const int8_t *b1 = b0 + k;
-            const int8_t *b2 = b1 + k;
-            const int8_t *b3 = b2 + k;
+            const int8_t *b0 = b + j * ldb;
+            const int8_t *b1 = b0 + ldb;
+            const int8_t *b2 = b1 + ldb;
+            const int8_t *b3 = b2 + ldb;
             __m256i acc[2][4];
             for (int r = 0; r < 2; ++r)
                 for (int s = 0; s < 4; ++s)
@@ -507,16 +551,16 @@ int8GemmBTRowsAvx2(const uint8_t *a, const int8_t *b, int32_t *c,
             _mm_storeu_si128(reinterpret_cast<__m128i *>(c1 + j), r1);
         }
         for (; j < n; ++j) {
-            const int8_t *brow = b + j * k;
+            const int8_t *brow = b + j * ldb;
             c0[j] = int8DotAvx2(a0, brow, k);
             c1[j] = int8DotAvx2(a1, brow, k);
         }
     }
     for (; i < i1; ++i) {
-        const uint8_t *arow = a + i * k;
-        int32_t *crow = c + i * n;
+        const uint8_t *arow = a + i * lda;
+        int32_t *crow = c + i * ldc;
         for (size_t j = 0; j < n; ++j)
-            crow[j] = int8DotAvx2(arow, b + j * k, k);
+            crow[j] = int8DotAvx2(arow, b + j * ldb, k);
     }
 }
 

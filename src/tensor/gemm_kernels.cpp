@@ -10,6 +10,7 @@
  */
 #include "tensor/gemm_kernels.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace dota {
@@ -40,16 +41,20 @@ dotPortable(const float *x, const float *y, size_t k)
     return r;
 }
 
-/** Broadcast-FMA fold, p outer so B streams row-wise; C rows zeroed. */
+/**
+ * Broadcast-FMA fold, p outer so B streams row-wise; C rows zeroed. A
+ * causal row i stops its fold at p = i.
+ */
 void
-matmulRowsPortable(const Matrix &a, const Matrix &b, Matrix &c, size_t i0,
-                   size_t i1)
+matmulRowsPortable(const float *a, size_t lda, const Matrix &b, Matrix &c,
+                   size_t i0, size_t i1, size_t k, bool causal)
 {
-    const size_t k = a.cols(), n = b.cols();
+    const size_t n = b.cols();
     for (size_t i = i0; i < i1; ++i) {
         float *crow = c.row(i);
-        const float *arow = a.row(i);
-        for (size_t p = 0; p < k; ++p) {
+        const float *arow = a + i * lda;
+        const size_t kend = causal ? std::min(k, i + 1) : k;
+        for (size_t p = 0; p < kend; ++p) {
             const float av = arow[p];
             const float *brow = b.row(p);
             for (size_t j = 0; j < n; ++j)
@@ -76,14 +81,14 @@ matmulATRowsPortable(const Matrix &a, const Matrix &b, Matrix &c,
 }
 
 void
-matmulBTRowsPortable(const Matrix &a, const Matrix &b, Matrix &c,
-                     size_t i0, size_t i1)
+matmulBTRowsPortable(const Matrix &a, const Matrix &b, float *c,
+                     size_t ldc, size_t ncols, size_t i0, size_t i1)
 {
-    const size_t k = a.cols(), n = b.rows();
+    const size_t k = a.cols();
     for (size_t i = i0; i < i1; ++i) {
         const float *arow = a.row(i);
-        float *crow = c.row(i);
-        for (size_t j = 0; j < n; ++j)
+        float *crow = c + i * ldc;
+        for (size_t j = 0; j < ncols; ++j)
             crow[j] = dotPortable(arow, b.row(j), k);
     }
 }
@@ -126,14 +131,15 @@ int8DotPortable(const uint8_t *x, const int8_t *y, size_t k)
 }
 
 void
-int8GemmBTRowsPortable(const uint8_t *a, const int8_t *b, int32_t *c,
-                       size_t k, size_t n, size_t i0, size_t i1)
+int8GemmBTRowsPortable(const uint8_t *a, size_t lda, const int8_t *b,
+                       size_t ldb, int32_t *c, size_t ldc, size_t k,
+                       size_t n, size_t i0, size_t i1)
 {
     for (size_t i = i0; i < i1; ++i) {
-        const uint8_t *arow = a + i * k;
-        int32_t *crow = c + i * n;
+        const uint8_t *arow = a + i * lda;
+        int32_t *crow = c + i * ldc;
         for (size_t j = 0; j < n; ++j)
-            crow[j] = int8DotPortable(arow, b + j * k, k);
+            crow[j] = int8DotPortable(arow, b + j * ldb, k);
     }
 }
 

@@ -50,22 +50,30 @@ namespace dota {
 struct GemmKernelTable
 {
     /**
-     * C rows [i0, i1) of C = A * B, overwriting rows assumed zeroed.
-     * Per element: broadcast-FMA fold over p ascending.
+     * C rows [i0, i1) of C = A * B with explicit extents: A is row-major
+     * with leading dimension @p lda, and row i folds p over [0, k), or
+     * over [0, min(k, i + 1)) when @p causal is set (a lower-triangular
+     * A such as causal attention probabilities: entries right of the
+     * diagonal are never read). C rows are assumed zeroed and are
+     * overwritten over all b.cols() columns. Per element:
+     * broadcast-FMA fold over p ascending.
      */
-    void (*matmulRows)(const Matrix &a, const Matrix &b, Matrix &c,
-                       size_t i0, size_t i1);
+    void (*matmulRows)(const float *a, size_t lda, const Matrix &b,
+                       Matrix &c, size_t i0, size_t i1, size_t k,
+                       bool causal);
 
     /** C rows [i0, i1) of C = A^T * B (same contract as matmulRows). */
     void (*matmulATRows)(const Matrix &a, const Matrix &b, Matrix &c,
                          size_t i0, size_t i1);
 
     /**
-     * C rows [i0, i1) of C = A * B^T. Per element: dot-family lane-split
+     * C rows [i0, i1) of C = A * B^T over the column prefix [0, ncols)
+     * of each row: c[i * ldc + j] = dot(a.row(i), b.row(j)) for j <
+     * ncols, other columns untouched. Per element: dot-family lane-split
      * reduction over the shared dimension.
      */
-    void (*matmulBTRows)(const Matrix &a, const Matrix &b, Matrix &c,
-                         size_t i0, size_t i1);
+    void (*matmulBTRows)(const Matrix &a, const Matrix &b, float *c,
+                         size_t ldc, size_t ncols, size_t i0, size_t i1);
 
     /** Lane-split dot product of x[0..k) and y[0..k) (dot family). */
     float (*dot)(const float *x, const float *y, size_t k);
@@ -93,11 +101,13 @@ struct GemmKernelTable
                         size_t width, float *out);
 
     /**
-     * Integer GEMM rows [i0, i1) of C = A * B^T on quantized codes:
-     * A is m x k unsigned 8-bit codes (row-major, lda = k), B is n x k
-     * signed 8-bit codes (row-major, ldb = k), C is m x n raw sums
-     *     C[i*n + j] = sum_p a[i*k + p] * b[j*k + p]
-     * in 32-bit integers, overwriting C rows.
+     * Integer GEMM rows [i0, i1) of C = A * B^T on quantized codes with
+     * explicit extents: A holds unsigned 8-bit codes (row i at a + i *
+     * lda), B signed 8-bit codes (row j at b + j * ldb), and
+     *     c[i*ldc + j] = sum_{p < k} a[i*lda + p] * b[j*ldb + p]
+     * for j < n, in 32-bit integers, overwriting those elements. The
+     * strides let a caller fold a prefix of each row (k < lda) or write
+     * a narrower C than B's row count.
      *
      * Unlike the float families above, no reduction-order contract is
      * needed: s32 addition is associative and the operand ranges are
@@ -106,10 +116,11 @@ struct GemmKernelTable
      * most 127*127*2 = 32258 < 32767). Every instantiation is therefore
      * exact — portable/AVX2/any-thread-count parity holds by arithmetic,
      * not by convention. Caller guarantees k*16129 < 2^31 (k <= ~133k).
-     * Zero-point compensation is the caller's job (tensor/quant.cpp).
+     * Zero-point compensation is the caller's job (tensor/int8_gemm.cpp).
      */
-    void (*int8GemmBTRows)(const uint8_t *a, const int8_t *b, int32_t *c,
-                           size_t k, size_t n, size_t i0, size_t i1);
+    void (*int8GemmBTRows)(const uint8_t *a, size_t lda, const int8_t *b,
+                           size_t ldb, int32_t *c, size_t ldc, size_t k,
+                           size_t n, size_t i0, size_t i1);
 
     /** Exact s32 dot of u8 codes x[0..k) and s8 codes y[0..k). */
     int32_t (*int8Dot)(const uint8_t *x, const int8_t *y, size_t k);

@@ -83,6 +83,28 @@ forRowBlocks(size_t rows, size_t cols,
         parallelFor(0, rows, gemmGrain(rows), fn);
 }
 
+void
+forCausalRowBlocks(size_t n, const std::function<void(size_t, size_t)> &fn)
+{
+    if (n * n < kParallelElemThreshold) {
+        fn(0, n);
+        return;
+    }
+    // Row t of a causal problem carries work proportional to t + 1, so
+    // equal-height blocks t and nb - 1 - t together carry the same work
+    // as any other such pair: each chunk is one pair, ~4 per thread.
+    const size_t nb = std::min(n, 8 * ThreadPool::globalConcurrency());
+    auto edge = [&](size_t t) { return n * t / nb; };
+    parallelFor(0, (nb + 1) / 2, 1, [&](size_t t0, size_t t1) {
+        for (size_t t = t0; t < t1; ++t) {
+            fn(edge(t), edge(t + 1));
+            const size_t u = nb - 1 - t;
+            if (u != t)
+                fn(edge(u), edge(u + 1));
+        }
+    });
+}
+
 /*
  * The three GEMMs route through the ISA-dispatched micro-kernel tables
  * (tensor/gemm_kernels.hpp). The dense inner loops deliberately do NOT
@@ -101,7 +123,7 @@ matmul(const Matrix &a, const Matrix &b)
     Matrix c(m, n);
     const auto &kt = activeGemmKernels();
     auto rowBlock = [&](size_t i0, size_t i1) {
-        kt.matmulRows(a, b, c, i0, i1);
+        kt.matmulRows(a.data(), k, b, c, i0, i1, k, false);
     };
     if (gemmMacs(m, k, n) < kParallelMacThreshold)
         rowBlock(0, m);
@@ -119,7 +141,7 @@ matmulBT(const Matrix &a, const Matrix &b)
     Matrix c(m, n);
     const auto &kt = activeGemmKernels();
     auto rowBlock = [&](size_t i0, size_t i1) {
-        kt.matmulBTRows(a, b, c, i0, i1);
+        kt.matmulBTRows(a, b, c.data(), n, n, i0, i1);
     };
     if (gemmMacs(m, k, n) < kParallelMacThreshold)
         rowBlock(0, m);
@@ -239,21 +261,8 @@ rowSoftmax(const Matrix &a)
     Matrix y(a.rows(), a.cols());
     const size_t d = a.cols();
     forRowBlocks(a.rows(), d, [&](size_t r0, size_t r1) {
-        for (size_t i = r0; i < r1; ++i) {
-            const float *x = a.row(i);
-            float *out = y.row(i);
-            float mx = -std::numeric_limits<float>::infinity();
-            for (size_t j = 0; j < d; ++j)
-                mx = std::max(mx, x[j]);
-            double denom = 0.0;
-            for (size_t j = 0; j < d; ++j) {
-                out[j] = std::exp(x[j] - mx);
-                denom += out[j];
-            }
-            const float inv = static_cast<float>(1.0 / denom);
-            for (size_t j = 0; j < d; ++j)
-                out[j] *= inv;
-        }
+        for (size_t i = r0; i < r1; ++i)
+            scaledSoftmaxRow(a.row(i), 1.0f, d, y.row(i));
     });
     return y;
 }
@@ -292,6 +301,24 @@ rowSoftmaxMasked(const Matrix &a, const Matrix &mask)
         }
     });
     return y;
+}
+
+void
+scaledSoftmaxRow(const float *s, float scale, size_t len, float *out)
+{
+    float mx = -std::numeric_limits<float>::infinity();
+    for (size_t j = 0; j < len; ++j) {
+        out[j] = s[j] * scale;
+        mx = std::max(mx, out[j]);
+    }
+    double denom = 0.0;
+    for (size_t j = 0; j < len; ++j) {
+        out[j] = std::exp(out[j] - mx);
+        denom += out[j];
+    }
+    const float inv = static_cast<float>(1.0 / denom);
+    for (size_t j = 0; j < len; ++j)
+        out[j] *= inv;
 }
 
 Matrix

@@ -67,6 +67,15 @@ Matrix rowSoftmax(const Matrix &a);
 Matrix rowSoftmaxMasked(const Matrix &a, const Matrix &mask);
 
 /**
+ * Softmax of s[0..len) * scale into out[0..len): per element the
+ * arithmetic of scale() followed by rowSoftmax() (whose rows are this
+ * with scale 1, an exact multiply), so a row of the causal triangle
+ * (len = i + 1) gets the bits rowSoftmaxMasked() gives under the causal
+ * mask at its kept coordinates.
+ */
+void scaledSoftmaxRow(const float *s, float scale, size_t len, float *out);
+
+/**
  * Backward of row-wise softmax. Given y = softmax(x) per row and dL/dy,
  * returns dL/dx = y * (dy - sum(dy * y)).
  */
@@ -141,5 +150,16 @@ size_t rowParallelElemThreshold();
  */
 void forRowBlocks(size_t rows, size_t cols,
                   const std::function<void(size_t, size_t)> &fn);
+
+/**
+ * Run @p fn over row blocks [r0, r1) of an n x n causal problem, where
+ * row i only touches columns [0, i]: one inline call below
+ * rowParallelElemThreshold() (n * n elements), otherwise one parallelFor
+ * whose chunks each take two equal-height blocks t and nb - 1 - t, so
+ * every chunk carries the same share of the triangle. Every row is
+ * passed to exactly one call (the forRowBlocks determinism argument).
+ */
+void forCausalRowBlocks(size_t n,
+                        const std::function<void(size_t, size_t)> &fn);
 
 } // namespace dota

@@ -282,12 +282,17 @@ TEST(Attention, InputGradCheckDense)
 TEST(Attention, CausalMaskCachedAcrossSameLengthForwards)
 {
     // Regression: the causal mask used to be rebuilt (an n x n
-    // allocation) on every forward; it is now cached per length.
+    // allocation) on every forward; it is now cached per length. Only
+    // forwards with a hook run the full square under it: hook-free
+    // causal heads compute the triangle and never build the mask.
     Rng rng(88);
     MultiHeadAttention attn("a", 0, 8, 2, rng, /*causal=*/true);
     const Matrix x = Matrix::randomNormal(6, 8, rng);
+    attn.forward(x);
     EXPECT_EQ(attn.causalMaskBuilds(), 0u);
 
+    RecordingHook hook; // keeps everything, observes the full S
+    attn.setHook(&hook);
     const Matrix first = attn.forward(x);
     EXPECT_EQ(attn.causalMaskBuilds(), 1u);
     const Matrix second = attn.forward(x);

@@ -150,6 +150,33 @@ TEST(Detector, MseLossAccumulatesAndResets)
     EXPECT_DOUBLE_EQ(det.consumeMseLoss(), 0.0); // reset
 }
 
+TEST(Detector, CausalInferenceEstimatesOnlyTheVisiblePrefix)
+{
+    // Training off, causal: S~ rows stop at the diagonal and the rest of
+    // the reused est_ buffer is zero, even after a full-square select at
+    // the same n. Training keeps the full square for its loss.
+    DetectorConfig dc;
+    dc.train = false;
+    DotaDetector det(modelCfg(), dc);
+    Rng rng(137);
+    const size_t n = 12;
+    const Matrix x = Matrix::randomNormal(n, 32, rng);
+    det.beginLayer(0, x);
+    det.selectMask(0, 0, false);
+    const Matrix full = det.lastEstimate(0, 0);
+    det.selectMask(0, 0, true);
+    const Matrix &prefix = det.lastEstimate(0, 0);
+    ASSERT_EQ(prefix.rows(), n);
+    for (size_t i = 0; i < n; ++i)
+        for (size_t j = 0; j < n; ++j)
+            EXPECT_EQ(prefix(i, j), j <= i ? full(i, j) : 0.0f)
+                << i << "," << j;
+
+    det.config().train = true;
+    det.selectMask(0, 0, true);
+    EXPECT_TRUE(Matrix::allClose(det.lastEstimate(0, 0), full, 0.0f));
+}
+
 TEST(Detector, ScoreGradientDirection)
 {
     // dL/dS = -2 lambda (S~ - S)/N : pushes S toward S~.

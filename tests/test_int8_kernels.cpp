@@ -65,11 +65,12 @@ TEST(Int8Kernels, ActiveMatchesPortableExactly)
     for (size_t k : {1u, 31u, 32u, 37u, 128u, 200u}) {
         const OperandPair p = randomOperands(5, 7, k, 100 + k);
         std::vector<int32_t> active(5 * 7), portable(5 * 7);
-        activeGemmKernels().int8GemmBTRows(p.a.codes.data(),
-                                           p.b.codes.data(), active.data(),
-                                           k, 7, 0, 5);
+        activeGemmKernels().int8GemmBTRows(p.a.codes.data(), k,
+                                           p.b.codes.data(), k,
+                                           active.data(), 7, k, 7, 0, 5);
         detail::portableGemmKernels().int8GemmBTRows(
-            p.a.codes.data(), p.b.codes.data(), portable.data(), k, 7, 0, 5);
+            p.a.codes.data(), k, p.b.codes.data(), k, portable.data(), 7, k,
+            7, 0, 5);
         EXPECT_EQ(active, portable) << "k=" << k;
         EXPECT_EQ(activeGemmKernels().int8Dot(p.a.row(2), p.b.row(3), k),
                   detail::portableGemmKernels().int8Dot(p.a.row(2),
@@ -83,13 +84,15 @@ TEST(Int8Kernels, MatchesNaiveReference)
     const OperandPair p = randomOperands(6, 9, 53, 41);
     const std::vector<int32_t> ref = naiveRawGemm(p.a, p.b);
     std::vector<int32_t> got(6 * 9);
-    activeGemmKernels().int8GemmBTRows(p.a.codes.data(), p.b.codes.data(),
-                                       got.data(), 53, 9, 0, 6);
+    activeGemmKernels().int8GemmBTRows(p.a.codes.data(), 53,
+                                       p.b.codes.data(), 53, got.data(), 9,
+                                       53, 9, 0, 6);
     EXPECT_EQ(got, ref);
     // Row-range dispatch covers partial strips too.
     std::vector<int32_t> strip(6 * 9, -1);
-    activeGemmKernels().int8GemmBTRows(p.a.codes.data(), p.b.codes.data(),
-                                       strip.data(), 53, 9, 2, 4);
+    activeGemmKernels().int8GemmBTRows(p.a.codes.data(), 53,
+                                       p.b.codes.data(), 53, strip.data(), 9,
+                                       53, 9, 2, 4);
     for (size_t j = 0; j < 9; ++j)
         EXPECT_EQ(strip[2 * 9 + j], ref[2 * 9 + j]);
     EXPECT_EQ(strip[0], -1); // rows outside [i0, i1) untouched

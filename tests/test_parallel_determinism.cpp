@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstring>
 #include <iterator>
+#include <tuple>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -493,6 +494,66 @@ TEST(ParallelDeterminism, Int8BackendBitIdentical)
             EXPECT_TRUE(bitIdentical(serial, parallel))
                 << "n=" << n << (m ? " masked" : " unmasked");
         }
+    }
+}
+
+TEST(ParallelDeterminism, CausalTriangleHeadsBitIdentical)
+{
+    // The balanced triangle blocks (forCausalRowBlocks) of the dense
+    // and int8 causal heads, below and above the parallel threshold.
+    for (size_t n : {size_t{24}, bigSide(), 2 * bigSide() + 3}) {
+        Rng rng(4500 + n);
+        const Matrix q = Matrix::randomNormal(n, 64, rng);
+        const Matrix k = Matrix::randomNormal(n, 64, rng);
+        const Matrix v = Matrix::randomNormal(n, 64, rng);
+        auto [serial, parallel] = atBothThreadCounts([&] {
+            return denseCausalHead(q, k, v, 0.125f);
+        });
+        EXPECT_TRUE(bitIdentical(serial.z, parallel.z)) << "z n=" << n;
+        EXPECT_TRUE(bitIdentical(serial.probs, parallel.probs))
+            << "A n=" << n;
+        EXPECT_TRUE(bitIdentical(serial.scores, parallel.scores))
+            << "S n=" << n;
+
+        AttnHeadProblem p;
+        p.q = &q;
+        p.k = &k;
+        p.v = &v;
+        p.scale = 0.125f;
+        p.causal = true;
+        auto [iserial, iparallel] = atBothThreadCounts([&] {
+            return attentionBackend(AttnBackendKind::Int8).runHead(p).z;
+        });
+        EXPECT_TRUE(bitIdentical(iserial, iparallel)) << "int8 n=" << n;
+    }
+}
+
+TEST(ParallelDeterminism, Int8QuantizeAndEpilogueBitIdentical)
+{
+    // Row-parallel quantizers and the int8MatmulBT dequant + bias
+    // epilogue, below and above their thresholds.
+    for (size_t rows : {size_t{3}, size_t{40}, size_t{300}}) {
+        Rng rng(4600 + rows);
+        const Matrix x = Matrix::randomNormal(rows, 160, rng, 0.0f, 2.0f);
+        const Matrix w = Matrix::randomNormal(160, 200, rng);
+        const Matrix bias = Matrix::randomNormal(1, 200, rng);
+        auto [serial, parallel] = atBothThreadCounts([&] {
+            const U8Tensor xq = quantizeU8(x, 0.05f);
+            const Int8Tensor xs = quantizeS8(x, 0.02f);
+            const Int8Tensor xt = quantizeS8Transposed(x, 0.02f);
+            const Int8Tensor wt = quantizeS8Transposed(w, 0.01f);
+            return std::make_tuple(xq.codes, xs.codes, xs.row_sums,
+                                   xt.codes, xt.row_sums,
+                                   int8MatmulBT(xq, wt, &bias));
+        });
+        EXPECT_EQ(std::get<0>(serial), std::get<0>(parallel)) << rows;
+        EXPECT_EQ(std::get<1>(serial), std::get<1>(parallel)) << rows;
+        EXPECT_EQ(std::get<2>(serial), std::get<2>(parallel)) << rows;
+        EXPECT_EQ(std::get<3>(serial), std::get<3>(parallel)) << rows;
+        EXPECT_EQ(std::get<4>(serial), std::get<4>(parallel)) << rows;
+        EXPECT_TRUE(
+            bitIdentical(std::get<5>(serial), std::get<5>(parallel)))
+            << rows;
     }
 }
 

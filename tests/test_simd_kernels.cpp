@@ -197,14 +197,14 @@ TEST(SimdKernels, PortableAndAvx2TablesBitIdentical)
         const Matrix bt = Matrix::randomNormal(n, k, data_rng);
 
         Matrix c_p(m, n), c_v(m, n);
-        portable.matmulRows(a, b, c_p, 0, m);
-        avx2.matmulRows(a, b, c_v, 0, m);
+        portable.matmulRows(a.data(), k, b, c_p, 0, m, k, false);
+        avx2.matmulRows(a.data(), k, b, c_v, 0, m, k, false);
         EXPECT_TRUE(bitIdentical(c_p, c_v))
             << "matmulRows " << m << "x" << k << "x" << n;
 
         Matrix d_p(m, n), d_v(m, n);
-        portable.matmulBTRows(a, bt, d_p, 0, m);
-        avx2.matmulBTRows(a, bt, d_v, 0, m);
+        portable.matmulBTRows(a, bt, d_p.data(), n, n, 0, m);
+        avx2.matmulBTRows(a, bt, d_v.data(), n, n, 0, m);
         EXPECT_TRUE(bitIdentical(d_p, d_v))
             << "matmulBTRows " << m << "x" << k << "x" << n;
 
@@ -236,7 +236,7 @@ TEST(SimdKernels, ShortRowBlocksMatchFmaFoldAndPortable)
                 EXPECT_TRUE(bitIdentical(matmul(a, b), ref))
                     << "matmul " << m << "x" << k << "x" << n;
                 Matrix c_p(m, n);
-                portable.matmulRows(a, b, c_p, 0, m);
+                portable.matmulRows(a.data(), k, b, c_p, 0, m, k, false);
                 EXPECT_TRUE(bitIdentical(c_p, ref))
                     << "portable " << m << "x" << k << "x" << n;
                 // Same loop nest with A transposed (matmulAT).
