@@ -57,23 +57,56 @@ MultiHeadAttention::cachedCausalMask(size_t n)
     return causal_cache_;
 }
 
+const Matrix *
+MultiHeadAttention::keepMask(const Matrix &mask, bool hooked, size_t n)
+{
+    if (!mask.empty())
+        return &mask;
+    return causal_ && hooked ? &cachedCausalMask(n) : nullptr;
+}
+
 Matrix
 MultiHeadAttention::forward(const Matrix &x)
 {
+    return matmul(attend(x, matmul(x, wq_.value), matmul(x, wk_.value),
+                         matmul(x, wv_.value)),
+                  wo_.value);
+}
+
+Matrix
+MultiHeadAttention::headLoop(const Matrix &x, const Matrix &q,
+                             const Matrix &k, const Matrix &v,
+                             AttentionHook *hook, const HeadRunner &run) const
+{
+    if (hook)
+        hook->beginLayer(layer_, x);
+    Matrix z(x.rows(), dim_);
+    for (size_t h = 0; h < heads_; ++h) {
+        const Matrix qh = headSlice(q, h);
+        const Matrix kh = headSlice(k, h);
+        const Matrix vh = headSlice(v, h);
+        Matrix mask;
+        if (hook) {
+            hook->observeQK(layer_, h, qh, kh);
+            mask = hook->selectMask(layer_, h, causal_);
+        }
+        addHeadSlice(z, run(h, qh, kh, vh, mask), h);
+    }
+    return z;
+}
+
+Matrix
+MultiHeadAttention::attend(const Matrix &x, Matrix q, Matrix k, Matrix v)
+{
     const size_t n = x.rows();
     x_ = x;
-    q_ = matmul(x, wq_.value);
-    k_ = matmul(x, wk_.value);
-    v_ = matmul(x, wv_.value);
-
-    if (hook_)
-        hook_->beginLayer(layer_, x);
-
+    q_ = std::move(q);
+    k_ = std::move(k);
+    v_ = std::move(v);
     s_raw_.assign(heads_, Matrix());
     a_.assign(heads_, Matrix());
     masks_.assign(heads_, Matrix());
     head_backends_.assign(heads_, AttnBackendKind::Dense);
-    z_ = Matrix(n, dim_);
     sparse_forward_ = false;
 
     // Per-head backend dispatch (nn/attention_backend.hpp). Non-dense
@@ -85,16 +118,9 @@ MultiHeadAttention::forward(const Matrix &x)
     // masked computation; streaming is tolerance-level (DESIGN.md §13).
     const AttnChoice choice = attnChoice();
     const float inv_sqrt_dk = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-    for (size_t h = 0; h < heads_; ++h) {
-        const Matrix qh = headSlice(q_, h);
-        const Matrix kh = headSlice(k_, h);
-        const Matrix vh = headSlice(v_, h);
-
-        Matrix mask;
-        if (hook_) {
-            hook_->observeQK(layer_, h, qh, kh);
-            mask = hook_->selectMask(layer_, h, causal_);
-        }
+    z_ = headLoop(x_, q_, k_, v_, hook_, [&](size_t h, const Matrix &qh,
+                                             const Matrix &kh,
+                                             const Matrix &vh, Matrix &mask) {
         const bool hook_mask = !mask.empty();
         masks_[h] = std::move(mask);
 
@@ -114,14 +140,7 @@ MultiHeadAttention::forward(const Matrix &x)
         SparseMask smask;
         if (kind == AttnBackendKind::Dense ||
             kind == AttnBackendKind::Int8) {
-            // Dense and int8 take the dense 0/1 keep mask. Hook-free
-            // causal heads compute only the visible triangle (p.causal);
-            // a hook observing S keeps the full square under the cached
-            // triangle (no per-forward n x n rebuild).
-            if (hook_mask)
-                p.dense_mask = &masks_[h];
-            else if (causal_ && hook_)
-                p.dense_mask = &cachedCausalMask(n);
+            p.dense_mask = keepMask(masks_[h], hook_ != nullptr, n);
         } else if (hook_mask) {
             smask = SparseMask::fromDense(masks_[h]);
             p.sparse_mask = &smask;
@@ -137,9 +156,9 @@ MultiHeadAttention::forward(const Matrix &x)
             // s_raw_[h]/a_[h] stay empty; observeScores skipped.
             sparse_forward_ = true;
         }
-        addHeadSlice(z_, r.z, h);
-    }
-    return matmul(z_, wo_.value);
+        return std::move(r.z);
+    });
+    return z_;
 }
 
 Matrix

@@ -10,13 +10,14 @@
  * Execution is delegated per head to a pluggable AttentionBackend
  * (nn/attention_backend.hpp): dense, CSR-sparse, or tiled streaming,
  * selected at runtime from the hook's needs, the sequence length and
- * the DOTA_ATTN override. forward() prepares each head's problem
+ * the DOTA_ATTN override. attend() prepares each head's problem
  * (slices, masks, scale) and dispatches; only the dense backend
  * materializes S/A, so the probe accessors below are a backend
  * capability, not a layer guarantee.
  */
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "nn/attention_backend.hpp"
@@ -25,6 +26,18 @@
 #include "tensor/ops.hpp"
 
 namespace dota {
+
+/**
+ * Attention stage of the block skeleton (nn/encoder.hpp): z (rows x d)
+ * from the block input x and its Q/K/V projections.
+ */
+using BlockAttention =
+    std::function<Matrix(const Matrix &x, Matrix q, Matrix k, Matrix v)>;
+
+/** One head of headLoop(): (h, q_h, k_h, v_h, hook mask or empty) -> z_h. */
+using HeadRunner =
+    std::function<Matrix(size_t h, const Matrix &q, const Matrix &k,
+                         const Matrix &v, Matrix &mask)>;
 
 /** Multi-head self-attention layer. */
 class MultiHeadAttention : public Module
@@ -50,6 +63,23 @@ class MultiHeadAttention : public Module
     /** Forward over (n x d); returns (n x d). */
     Matrix forward(const Matrix &x);
 
+    /**
+     * The fp32 full-sequence attention stage: headLoop() under the
+     * installed hook with per-head backend dispatch, caching what
+     * backward() reads. Returns z (n x d).
+     */
+    Matrix attend(const Matrix &x, Matrix q, Matrix k, Matrix v);
+
+    /**
+     * The head loop of every full-sequence stage (fp32, int8,
+     * calibration): @p hook (nullptr: none) gets beginLayer, then per
+     * head observeQK and selectMask; @p run computes the head (and
+     * reports observeScores) and z_h is gathered into z (n x d).
+     */
+    Matrix headLoop(const Matrix &x, const Matrix &q, const Matrix &k,
+                    const Matrix &v, AttentionHook *hook,
+                    const HeadRunner &run) const;
+
     /** Backward; returns dL/dx. Invalid after a non-dense forward. */
     Matrix backward(const Matrix &dy);
 
@@ -71,6 +101,7 @@ class MultiHeadAttention : public Module
 
     void collectParams(std::vector<Parameter *> &out) override;
 
+    size_t layer() const { return layer_; }
     size_t heads() const { return heads_; }
     size_t headDim() const { return head_dim_; }
     bool causal() const { return causal_; }
@@ -113,10 +144,19 @@ class MultiHeadAttention : public Module
      */
     const Matrix &cachedCausalMask(size_t n);
 
+    /**
+     * The dense keep mask of an n-row head (dense and int8 heads): the
+     * hook's @p mask, which replaces the causal constraint; else, when
+     * @p hooked on a causal layer, the cached triangle, so the hook can
+     * observe the full square; else nullptr (hook-free causal heads
+     * compute only the triangle).
+     */
+    const Matrix *keepMask(const Matrix &mask, bool hooked, size_t n);
+
     /** Number of times the causal mask was (re)built (regression). */
     size_t causalMaskBuilds() const { return causal_builds_; }
 
-    /** Weight accessors (used by the incremental decode path). */
+    /** Weight accessors (used by the linear policies). */
     const Matrix &wq() const { return wq_.value; }
     const Matrix &wk() const { return wk_.value; }
     const Matrix &wv() const { return wv_.value; }

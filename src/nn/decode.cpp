@@ -174,18 +174,16 @@ importKv(const KvTransfer &transfer, DecodeState &dst)
 
 namespace {
 
-/** Incremental attention for one new token against a cache. */
+/**
+ * The fp32 decode attention stage: one new token's Q/K/V row against
+ * @p cache, appended first.
+ */
 Matrix
-attentionStep(MultiHeadAttention &attn, const Matrix &x_row,
-              KvCache &cache, double retention)
+kvStep(KvCache &cache, size_t heads, double retention, const Matrix &,
+       const Matrix &q, const Matrix &k, const Matrix &v)
 {
-    const size_t dh = attn.headDim();
-    const size_t heads = attn.heads();
-    const Matrix q = matmul(x_row, attn.wq());
-    const Matrix k_new = matmul(x_row, attn.wk());
-    const Matrix v_new = matmul(x_row, attn.wv());
-    cache.append(k_new, v_new);
-
+    cache.append(k, v);
+    const size_t dh = q.cols() / heads;
     const size_t t = cache.length();
     const float inv_sqrt_dk = 1.0f / std::sqrt(static_cast<float>(dh));
     Matrix z(1, q.cols());
@@ -211,7 +209,7 @@ attentionStep(MultiHeadAttention &attn, const Matrix &x_row,
                 if (probs[j] != 0.0f)
                     cache.mass[j] += probs[j];
         }
-        return matmul(z, attn.wo());
+        return z;
     }
 
     // Dense or top-k path through the windowed Level-2 kernels: the
@@ -256,28 +254,7 @@ attentionStep(MultiHeadAttention &attn, const Matrix &x_row,
         kt.sparseAvRow(w.data(), kept.data(), kept.size(), cache.v, off, dh,
                        z.row(0) + off);
     }
-    return matmul(z, attn.wo());
-}
-
-/** One encoder block, incrementally. */
-Matrix
-blockStep(EncoderBlock &blk, const Matrix &x_row, KvCache &cache,
-          double retention)
-{
-    const Matrix a = attentionStep(blk.attention(), x_row, cache,
-                                   retention);
-    Matrix mean, rstd;
-    const Matrix h1 = layerNorm(add(x_row, a), blk.ln1().gamma(),
-                                blk.ln1().beta(), mean, rstd);
-    const Matrix pre = addRowBroadcast(matmul(h1, blk.fc1().weight().value),
-                                       blk.fc1().bias().value);
-    const Matrix hidden =
-        blk.activation() == Activation::ReLU ? relu(pre) : gelu(pre);
-    const Matrix f = addRowBroadcast(
-        matmul(hidden, blk.fc2().weight().value),
-        blk.fc2().bias().value);
-    return layerNorm(add(h1, f), blk.ln2().gamma(), blk.ln2().beta(),
-                     mean, rstd);
+    return z;
 }
 
 } // namespace
@@ -286,32 +263,38 @@ Matrix
 decodeStep(CausalLM &model, DecodeState &state, int token,
            double retention)
 {
-    const TransformerConfig &cfg = model.config();
-    if (state.layers.size() != cfg.layers)
-        state.reset(cfg.layers);
-    DOTA_ASSERT(state.position < cfg.max_seq,
-                "decode position {} exceeds max_seq {}", state.position,
-                cfg.max_seq);
-
-    Matrix h = model.tokenEmbedding().forward({token});
-    for (size_t c = 0; c < cfg.dim; ++c)
-        h(0, c) += model.positionTable()(state.position, c);
-    for (size_t l = 0; l < cfg.layers; ++l)
-        h = blockStep(*model.blocks()[l], h, state.layers[l], retention);
-    ++state.position;
-    return matmul(h, model.lmHead().weight().value);
+    return model.run(
+        {token}, state.advance(model.config()),
+        [&](size_t l, EncoderBlock &blk, const Matrix &h) {
+            KvCache &cache = state.layers[l];
+            const size_t heads = blk.attention().heads();
+            return blk.forward(
+                [&](BlockGemm g, const Matrix &a) { return blk.gemm(g, a); },
+                std::bind_front(kvStep, std::ref(cache), heads, retention), h);
+        },
+        [&](const Matrix &h) { return model.lmHead().forward(h, false); });
 }
 
 std::vector<int>
 generate(CausalLM &model, const std::vector<int> &prefix, size_t steps,
          double retention, double temperature, uint64_t seed)
 {
-    DOTA_ASSERT(!prefix.empty(), "generation needs a non-empty prefix");
     DecodeState state;
-    state.reset(model.config().layers);
+    return generateWith(
+        [&](int tok) { return decodeStep(model, state, tok, retention); },
+        prefix, steps, model.config().max_seq, temperature, seed);
+}
+
+std::vector<int>
+generateWith(const std::function<Matrix(int token)> &step,
+             const std::vector<int> &prefix, size_t steps, size_t max_seq,
+             double temperature, uint64_t seed)
+{
+    DOTA_ASSERT(!prefix.empty(), "generation needs a non-empty prefix");
     Matrix logits;
     for (int tok : prefix)
-        logits = decodeStep(model, state, tok, retention);
+        logits = step(tok);
+    size_t fed = prefix.size();
 
     Rng rng(seed);
     std::vector<int> out;
@@ -336,9 +319,10 @@ generate(CausalLM &model, const std::vector<int> &prefix, size_t steps,
             }
         }
         out.push_back(next);
-        if (state.position >= model.config().max_seq)
+        if (fed >= max_seq)
             break;
-        logits = decodeStep(model, state, next, retention);
+        logits = step(next);
+        ++fed;
     }
     return out;
 }

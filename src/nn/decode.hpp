@@ -3,16 +3,17 @@
  * Incremental (KV-cached) autoregressive decoding — the software
  * counterpart of the decoder processing in Section 4.4.
  *
- * forwardIncremental() processes one new token against cached key/value
- * matrices, optionally keeping only the strongest `retention` fraction
- * of past connections (row-balanced top-k, as the hardware comparator
- * would after detection). The dense incremental path is bit-equivalent
- * to the last row of the full causal forward, which the test suite
- * asserts.
+ * decodeStep() runs one new token through the block skeleton
+ * (nn/encoder.hpp) with a single-row attention stage against cached
+ * keys/values, optionally keeping only the strongest `retention`
+ * fraction of past connections (row-balanced top-k, as the hardware
+ * comparator would after detection). The dense incremental path is
+ * bit-equivalent to the full causal forward, which the tests assert.
  */
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "nn/transformer.hpp"
@@ -52,20 +53,36 @@ struct KvCache
  */
 size_t evictWeak(KvCache &cache, size_t keep);
 
-/** Decoding session state for a CausalLM. */
-struct DecodeState
+/** Decoding session state: one cache per layer and the next position. */
+template <class Cache>
+struct DecodeSession
 {
-    std::vector<KvCache> layers;
+    std::vector<Cache> layers;
     size_t position = 0;
 
     /** Prepare for a model with @p num_layers layers. */
     void
     reset(size_t num_layers)
     {
-        layers.assign(num_layers, KvCache{});
+        layers.assign(num_layers, Cache{});
         position = 0;
     }
+
+    /** Size to @p cfg; return (and advance) the next token's position. */
+    size_t
+    advance(const TransformerConfig &cfg)
+    {
+        if (layers.size() != cfg.layers)
+            reset(cfg.layers);
+        DOTA_ASSERT(position < cfg.max_seq,
+                    "decode position {} exceeds max_seq {}", position,
+                    cfg.max_seq);
+        return position++;
+    }
 };
+
+/** Decoding session state for a CausalLM's fp32 decoder. */
+using DecodeState = DecodeSession<KvCache>;
 
 /**
  * Evict every layer of @p state down to ceil(keep_fraction * length)
@@ -145,5 +162,14 @@ Matrix decodeStep(CausalLM &model, DecodeState &state, int token,
 std::vector<int> generate(CausalLM &model, const std::vector<int> &prefix,
                           size_t steps, double retention = 1.0,
                           double temperature = 0.0, uint64_t seed = 1);
+
+/**
+ * The loop of generate() and int8Generate() over @p step (token in,
+ * logits row out), stopping once @p max_seq tokens were fed.
+ */
+std::vector<int> generateWith(const std::function<Matrix(int token)> &step,
+                              const std::vector<int> &prefix, size_t steps,
+                              size_t max_seq, double temperature,
+                              uint64_t seed);
 
 } // namespace dota

@@ -1,6 +1,7 @@
 /**
  * @file
- * Implementation of the encoder block.
+ * Implementation of the encoder block: the one block skeleton and its
+ * fp32 linear policy.
  */
 #include "nn/encoder.hpp"
 
@@ -16,18 +17,49 @@ EncoderBlock::EncoderBlock(const std::string &name, size_t layer, size_t dim,
 {}
 
 Matrix
+EncoderBlock::gemm(BlockGemm g, const Matrix &a, bool keep)
+{
+    if (g == BlockGemm::Fc1 || g == BlockGemm::Fc2)
+        return (g == BlockGemm::Fc1 ? fc1_ : fc2_).forward(a, keep);
+    const Matrix *w[] = {&attn_.wq(), &attn_.wk(), &attn_.wv(), &attn_.wo()};
+    return matmul(a, *w[static_cast<size_t>(g)]);
+}
+
+Matrix
 EncoderBlock::forward(const Matrix &x)
 {
+    const auto lin = [this](BlockGemm g, const Matrix &a) {
+        return gemm(g, a, /*keep=*/true);
+    };
+    return run(lin, std::bind_front(&MultiHeadAttention::attend, &attn_), x,
+               /*keep=*/true);
+}
+
+Matrix
+EncoderBlock::forward(const BlockLinear &lin, const BlockAttention &attn,
+                      const Matrix &x)
+{
+    return run(lin, attn, x, /*keep=*/false);
+}
+
+Matrix
+EncoderBlock::run(const BlockLinear &lin, const BlockAttention &attn,
+                  const Matrix &x, bool keep)
+{
     // Multi-Head Attention stage with residual + LayerNorm.
-    const Matrix a = attn_.forward(x);
-    const Matrix h1 = ln1_.forward(add(x, a));
+    Matrix q = lin(BlockGemm::Q, x);
+    Matrix k = lin(BlockGemm::K, x);
+    Matrix v = lin(BlockGemm::V, x);
+    const Matrix z = attn(x, std::move(q), std::move(k), std::move(v));
+    const Matrix h1 = ln1_.forward(add(x, lin(BlockGemm::Wo, z)), keep);
 
     // FFN stage with residual + LayerNorm.
-    ffn_pre_act_ = fc1_.forward(h1);
-    const Matrix hidden =
-        act_ == Activation::ReLU ? relu(ffn_pre_act_) : gelu(ffn_pre_act_);
-    const Matrix f = fc2_.forward(hidden);
-    return ln2_.forward(add(h1, f));
+    Matrix pre = lin(BlockGemm::Fc1, h1);
+    const Matrix hidden = act_ == Activation::ReLU ? relu(pre) : gelu(pre);
+    if (keep)
+        ffn_pre_act_ = std::move(pre);
+    const Matrix f = lin(BlockGemm::Fc2, hidden);
+    return ln2_.forward(add(h1, f), keep);
 }
 
 Matrix

@@ -2,31 +2,21 @@
  * @file
  * Integer-only int8 inference path (DESIGN.md §16): per-tensor symmetric
  * calibration over a trained fp32 model, a quantized execution plan, and
- * full-sequence / incremental-decode forwards whose GEMMs all run on the
- * u8 x s8 kernels of tensor/int8_gemm.hpp with ITA-style integer softmax
- * between QK^T and A*V.
+ * full-sequence / incremental-decode forwards.
  *
- * Structure of the quantized block (LinearLayer weights W are held as
- * s8 W^T codes so every GEMM is the kernel's C = A * B^T shape):
- *
- *     x  --u8-->  [x Wq] [x Wk] [x Wv]        (int8 GEMM, fp32 out)
- *     per head:  q --u8--, k --s8--  ->  raw s32 scores
- *                integer softmax     ->  u8 probs in [0, 127]
- *                probs --u8--, v^T --s8--  ->  fp32 z
- *     z  --u8-->  [z Wo]  -> +x -> LayerNorm (fp32)
- *     h1 --u8-->  [h1 W1] -> +b -> GELU/ReLU (fp32)
- *     hid --u8--> [hid W2] -> +b -> +h1 -> LayerNorm (fp32)
- *
- * LayerNorm, residual adds, biases and activations stay fp32 — the
- * standard int8-transformer split: they are O(n*d) next to the O(n*d^2)
- * GEMMs and O(n^2*d) attention that dominate runtime, and keeping them
- * in float preserves accuracy without touching the integer hot loops.
+ * Each is an instance of the one block skeleton (nn/encoder.hpp). Its
+ * int8 linear policy quantizes every GEMM's A-side onto the u8 grid at a
+ * calibrated scale and runs the u8 x s8 kernels of tensor/int8_gemm.hpp
+ * against s8 W^T codes, bias in the epilogue; its attention stages run
+ * ITA-style integer softmax between the s32 scores and A*V. LayerNorm,
+ * residual adds and activations stay fp32: they are O(n*d) next to the
+ * GEMMs and attention, and float keeps them accurate.
  *
  * Determinism contract: all scales are fixed at calibration time, every
  * integer GEMM is exact (tensor/int8_gemm.hpp), and the fp32 glue is
  * elementwise/per-row. Outputs are therefore bit-identical across
  * SIMD ISAs and DOTA_THREADS values, and the incremental decode path
- * reproduces the full-sequence forward's last row exactly — a stronger
+ * reproduces the full-sequence forward's rows exactly — a stronger
  * contract than the fp path, where only matched reduction orders hold
  * it together.
  */
@@ -34,7 +24,7 @@
 
 #include <vector>
 
-#include "nn/transformer.hpp"
+#include "nn/decode.hpp"
 #include "tensor/int8_gemm.hpp"
 #include "tensor/int_softmax.hpp"
 
@@ -126,37 +116,23 @@ Matrix int8Forward(CausalLM &model, const Int8Plan &plan,
 /** Per-layer integer KV cache for incremental int8 decoding. */
 struct Int8KvCache
 {
-    size_t dim = 0;   ///< model dim (row width of the code arrays)
+    Int8Tensor k; ///< t x dim s8 codes at the calibrated K scale
+    Int8Tensor v; ///< t x dim s8 codes at the calibrated V scale
     size_t heads = 0;
-    float k_scale = 1.0f;
-    float v_scale = 1.0f;
-    std::vector<int8_t> k_codes; ///< t x dim
-    std::vector<int8_t> v_codes; ///< t x dim
     /**
      * Per-position, per-head sums of K codes (t x heads): zero-point
      * compensation for the u8 query x s8 key score dot needs the sum
      * over exactly the head's slice of the row.
      */
     std::vector<int32_t> k_head_sums;
-    size_t len = 0;
 
-    /** Quantize and append one fp K/V row pair. */
+    /** Quantize and append one fp K/V row pair (amortized O(dim)). */
     void append(const float *k_row, const float *v_row, size_t dim,
                 size_t heads);
 };
 
 /** Decoding state for the int8 path. */
-struct Int8DecodeState
-{
-    std::vector<Int8KvCache> layers;
-    size_t position = 0;
-
-    void reset(size_t n_layers)
-    {
-        layers.assign(n_layers, Int8KvCache());
-        position = 0;
-    }
-};
+using Int8DecodeState = DecodeSession<Int8KvCache>;
 
 /**
  * Feed one token through the int8 LM incrementally; returns logits

@@ -12,8 +12,12 @@ LayerNormLayer::LayerNormLayer(const std::string &name, size_t dim)
 {}
 
 Matrix
-LayerNormLayer::forward(const Matrix &x)
+LayerNormLayer::forward(const Matrix &x, bool keep)
 {
+    if (!keep) {
+        Matrix mean, rstd;
+        return layerNorm(x, gamma_.value, beta_.value, mean, rstd);
+    }
     cached_x_ = x;
     return layerNorm(x, gamma_.value, beta_.value, mean_, rstd_);
 }

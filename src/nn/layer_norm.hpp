@@ -15,16 +15,13 @@ class LayerNormLayer : public Module
   public:
     LayerNormLayer(const std::string &name, size_t dim);
 
-    /** Forward over an (n x dim) input. */
-    Matrix forward(const Matrix &x);
+    /** Forward over an (n x dim) input; caches for backward when @p keep. */
+    Matrix forward(const Matrix &x, bool keep = true);
 
     /** Backward; returns dL/dx, accumulates dgamma/dbeta. */
     Matrix backward(const Matrix &dy);
 
     void collectParams(std::vector<Parameter *> &out) override;
-
-    const Matrix &gamma() const { return gamma_.value; }
-    const Matrix &beta() const { return beta_.value; }
 
   private:
     Parameter gamma_;

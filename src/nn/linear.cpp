@@ -13,9 +13,10 @@ LinearLayer::LinearLayer(const std::string &name, size_t in, size_t out,
 {}
 
 Matrix
-LinearLayer::forward(const Matrix &x)
+LinearLayer::forward(const Matrix &x, bool keep)
 {
-    cached_x_ = x;
+    if (keep)
+        cached_x_ = x;
     Matrix y = matmul(x, w_.value);
     if (has_bias_)
         y = addRowBroadcast(y, b_.value);

@@ -23,8 +23,8 @@ class LinearLayer : public Module
     LinearLayer(const std::string &name, size_t in, size_t out, Rng &rng,
                 bool bias = true);
 
-    /** Forward; caches @p x. Input is (n x in), output (n x out). */
-    Matrix forward(const Matrix &x);
+    /** (n x in) -> (n x out); caches @p x for backward when @p keep. */
+    Matrix forward(const Matrix &x, bool keep = true);
 
     /** Backward; returns dL/dx and accumulates dW/db. */
     Matrix backward(const Matrix &dy);

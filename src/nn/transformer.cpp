@@ -6,32 +6,72 @@
 
 namespace dota {
 
+void
+BlockStack::setHook(AttentionHook *hook)
+{
+    for (auto &blk : blocks_)
+        blk->attention().setHook(hook);
+}
+
+void
+BlockStack::setForceDense(bool force)
+{
+    for (auto &blk : blocks_)
+        blk->attention().setForceDense(force);
+}
+
+bool
+BlockStack::hasHook() const
+{
+    for (const auto &blk : blocks_)
+        if (blk->attention().hook())
+            return true;
+    return false;
+}
+
+void
+BlockStack::buildBlocks(const char *prefix, bool causal)
+{
+    blocks_.reserve(cfg_.layers);
+    for (size_t l = 0; l < cfg_.layers; ++l)
+        blocks_.push_back(std::make_unique<EncoderBlock>(
+            format("{}{}", prefix, l), l, cfg_.dim, cfg_.heads, cfg_.ffn_dim,
+            init_rng_, cfg_.act, causal));
+}
+
 TransformerClassifier::TransformerClassifier(const TransformerConfig &cfg)
-    : cfg_(cfg), init_rng_(cfg.seed),
-      input_("input", cfg.in_dim, cfg.dim, init_rng_),
+    : BlockStack(cfg), input_("input", cfg.in_dim, cfg.dim, init_rng_),
       head_("head", cfg.dim, cfg.classes, init_rng_)
 {
-    blocks_.reserve(cfg.layers);
-    for (size_t l = 0; l < cfg.layers; ++l)
-        blocks_.push_back(std::make_unique<EncoderBlock>(
-            format("enc{}", l), l, cfg.dim, cfg.heads, cfg.ffn_dim,
-            init_rng_, cfg.act, /*causal=*/false));
+    buildBlocks("enc", /*causal=*/false);
 }
 
 Matrix
 TransformerClassifier::forward(const Matrix &features)
 {
     last_n_ = features.rows();
-    Matrix h = input_.forward(features);
-    for (auto &blk : blocks_)
-        h = blk->forward(h);
+    return run(
+        features, [&](const Matrix &f) { return input_.forward(f); },
+        [](size_t, EncoderBlock &blk, const Matrix &h) {
+            return blk.forward(h);
+        },
+        [&](const Matrix &pooled) { return head_.forward(pooled); });
+}
+
+Matrix
+TransformerClassifier::run(const Matrix &features, const LinearPass &input,
+                           const BlockPass &block, const LinearPass &head)
+{
+    Matrix h = input(features);
+    for (size_t l = 0; l < blocks_.size(); ++l)
+        h = block(l, *blocks_[l], h);
     // Mean pooling over tokens.
     Matrix pooled(1, cfg_.dim);
-    const float inv = 1.0f / static_cast<float>(last_n_);
+    const float inv = 1.0f / static_cast<float>(h.rows());
     for (size_t i = 0; i < h.rows(); ++i)
         for (size_t j = 0; j < h.cols(); ++j)
             pooled(0, j) += h(i, j) * inv;
-    return head_.forward(pooled);
+    return head(pooled);
 }
 
 void
@@ -50,29 +90,6 @@ TransformerClassifier::backward(const Matrix &dlogits)
 }
 
 void
-TransformerClassifier::setHook(AttentionHook *hook)
-{
-    for (auto &blk : blocks_)
-        blk->attention().setHook(hook);
-}
-
-void
-TransformerClassifier::setForceDense(bool force)
-{
-    for (auto &blk : blocks_)
-        blk->attention().setForceDense(force);
-}
-
-bool
-TransformerClassifier::hasHook() const
-{
-    for (const auto &blk : blocks_)
-        if (blk->attention().hook())
-            return true;
-    return false;
-}
-
-void
 TransformerClassifier::collectParams(std::vector<Parameter *> &out)
 {
     input_.collectParams(out);
@@ -82,33 +99,40 @@ TransformerClassifier::collectParams(std::vector<Parameter *> &out)
 }
 
 CausalLM::CausalLM(const TransformerConfig &cfg)
-    : cfg_(cfg), init_rng_(cfg.seed),
-      tok_("tok", cfg.vocab, cfg.dim, init_rng_),
+    : BlockStack(cfg), tok_("tok", cfg.vocab, cfg.dim, init_rng_),
       pos_("pos", Matrix::randomNormal(cfg.max_seq, cfg.dim, init_rng_,
                                        0.0f, 0.02f)),
       head_("lm_head", cfg.dim, cfg.vocab, init_rng_, /*bias=*/false)
 {
-    blocks_.reserve(cfg.layers);
-    for (size_t l = 0; l < cfg.layers; ++l)
-        blocks_.push_back(std::make_unique<EncoderBlock>(
-            format("dec{}", l), l, cfg.dim, cfg.heads, cfg.ffn_dim,
-            init_rng_, cfg.act, /*causal=*/true));
+    buildBlocks("dec", /*causal=*/true);
 }
 
 Matrix
 CausalLM::forward(const std::vector<int> &ids)
 {
-    DOTA_ASSERT(ids.size() <= cfg_.max_seq,
-                "sequence length {} exceeds max {}", ids.size(),
-                cfg_.max_seq);
     last_n_ = ids.size();
+    return run(
+        ids, 0,
+        [](size_t, EncoderBlock &blk, const Matrix &h) {
+            return blk.forward(h);
+        },
+        [&](const Matrix &h) { return head_.forward(h); });
+}
+
+Matrix
+CausalLM::run(const std::vector<int> &ids, size_t pos,
+              const BlockPass &block, const LinearPass &head)
+{
+    DOTA_ASSERT(pos + ids.size() <= cfg_.max_seq,
+                "sequence length {} exceeds max {}", pos + ids.size(),
+                cfg_.max_seq);
     Matrix h = tok_.forward(ids);
     for (size_t i = 0; i < h.rows(); ++i)
         for (size_t j = 0; j < h.cols(); ++j)
-            h(i, j) += pos_.value(i, j);
-    for (auto &blk : blocks_)
-        h = blk->forward(h);
-    return head_.forward(h);
+            h(i, j) += pos_.value(pos + i, j);
+    for (size_t l = 0; l < blocks_.size(); ++l)
+        h = block(l, *blocks_[l], h);
+    return head(h);
 }
 
 void
@@ -136,29 +160,6 @@ CausalLM::lmLoss(const std::vector<int> &ids, bool train)
     if (train)
         backward(dlogits);
     return loss;
-}
-
-void
-CausalLM::setHook(AttentionHook *hook)
-{
-    for (auto &blk : blocks_)
-        blk->attention().setHook(hook);
-}
-
-void
-CausalLM::setForceDense(bool force)
-{
-    for (auto &blk : blocks_)
-        blk->attention().setForceDense(force);
-}
-
-bool
-CausalLM::hasHook() const
-{
-    for (const auto &blk : blocks_)
-        if (blk->attention().hook())
-            return true;
-    return false;
 }
 
 void

@@ -6,6 +6,7 @@
  */
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -33,22 +34,17 @@ struct TransformerConfig
     size_t headDim() const { return dim / heads; }
 };
 
-/**
- * Encoder-based sequence classifier: input projection, L encoder blocks,
- * mean pooling, linear head. Inputs are continuous token feature vectors
- * (the synthetic workloads emit these directly).
- */
-class TransformerClassifier : public Module
+/** One block of a model pass: (layer, block, hidden in) -> hidden out. */
+using BlockPass =
+    std::function<Matrix(size_t layer, EncoderBlock &blk, const Matrix &h)>;
+
+/** A model-level stage of a pass (input projection or head). */
+using LinearPass = std::function<Matrix(const Matrix &a)>;
+
+/** The L encoder blocks both models share, and their switches. */
+class BlockStack : public Module
 {
   public:
-    explicit TransformerClassifier(const TransformerConfig &cfg);
-
-    /** Forward over (n x in_dim) features; returns logits (1 x classes). */
-    Matrix forward(const Matrix &features);
-
-    /** Backward from dL/dlogits (1 x classes). */
-    void backward(const Matrix &dlogits);
-
     /** Install an attention hook into every block. */
     void setHook(AttentionHook *hook);
 
@@ -66,22 +62,55 @@ class TransformerClassifier : public Module
      */
     bool hasHook() const;
 
-    void collectParams(std::vector<Parameter *> &out) override;
-
     const TransformerConfig &config() const { return cfg_; }
     std::vector<std::unique_ptr<EncoderBlock>> &blocks() { return blocks_; }
 
-    /** Accessors for the int8 inference path (nn/int8_infer.hpp). */
+  protected:
+    explicit BlockStack(const TransformerConfig &cfg)
+        : cfg_(cfg), init_rng_(cfg.seed)
+    {}
+
+    /** Build the blocks, drawing from init_rng_ after the other layers. */
+    void buildBlocks(const char *prefix, bool causal);
+
+    TransformerConfig cfg_;
+    Rng init_rng_;
+    std::vector<std::unique_ptr<EncoderBlock>> blocks_;
+    size_t last_n_ = 0;
+};
+
+/**
+ * Encoder-based sequence classifier: input projection, L encoder blocks,
+ * mean pooling, linear head. Inputs are continuous token feature vectors
+ * (the synthetic workloads emit these directly).
+ */
+class TransformerClassifier : public BlockStack
+{
+  public:
+    explicit TransformerClassifier(const TransformerConfig &cfg);
+
+    /** Forward over (n x in_dim) features; returns logits (1 x classes). */
+    Matrix forward(const Matrix &features);
+
+    /** Backward from dL/dlogits (1 x classes). */
+    void backward(const Matrix &dlogits);
+
+    /**
+     * The classifier driver of every pass (fp32 forward, calibration,
+     * int8): @p input, @p block per layer, mean pooling, @p head.
+     */
+    Matrix run(const Matrix &features, const LinearPass &input,
+               const BlockPass &block, const LinearPass &head);
+
+    void collectParams(std::vector<Parameter *> &out) override;
+
+    /** Accessors for the int8 path (nn/int8_infer.hpp). */
     LinearLayer &inputLayer() { return input_; }
     LinearLayer &headLayer() { return head_; }
 
   private:
-    TransformerConfig cfg_;
-    Rng init_rng_;
     LinearLayer input_;
-    std::vector<std::unique_ptr<EncoderBlock>> blocks_;
     LinearLayer head_;
-    size_t last_n_ = 0;
 };
 
 /**
@@ -89,7 +118,7 @@ class TransformerClassifier : public Module
  * embeddings, L causal blocks, tied-free output head. Perplexity on a
  * synthetic grammar stands in for WikiText-103 (see DESIGN.md).
  */
-class CausalLM : public Module
+class CausalLM : public BlockStack
 {
   public:
     explicit CausalLM(const TransformerConfig &cfg);
@@ -101,37 +130,30 @@ class CausalLM : public Module
     void backward(const Matrix &dlogits);
 
     /**
+     * The LM driver of every pass (fp32 forward, calibration, int8, both
+     * decoders): embed @p ids at positions [@p pos, pos + n), @p block
+     * per layer, then @p head.
+     */
+    Matrix run(const std::vector<int> &ids, size_t pos,
+               const BlockPass &block, const LinearPass &head);
+
+    /**
      * Convenience: mean next-token cross-entropy of @p ids (position i
      * predicts token i+1) plus gradient injection when @p train is true.
      */
     double lmLoss(const std::vector<int> &ids, bool train);
 
-    void setHook(AttentionHook *hook);
-
-    /** Force dense attention in every block (see above). */
-    void setForceDense(bool force);
-
-    /** True when any block carries an attention hook (see above). */
-    bool hasHook() const;
-
     void collectParams(std::vector<Parameter *> &out) override;
 
-    const TransformerConfig &config() const { return cfg_; }
-    std::vector<std::unique_ptr<EncoderBlock>> &blocks() { return blocks_; }
-
-    /** Accessors for the incremental decode path. */
+    /** Accessors for the int8 path and per-layer probes. */
     EmbeddingLayer &tokenEmbedding() { return tok_; }
     const Matrix &positionTable() const { return pos_.value; }
     LinearLayer &lmHead() { return head_; }
 
   private:
-    TransformerConfig cfg_;
-    Rng init_rng_;
     EmbeddingLayer tok_;
     Parameter pos_; ///< max_seq x dim learned positional table
-    std::vector<std::unique_ptr<EncoderBlock>> blocks_;
     LinearLayer head_;
-    size_t last_n_ = 0;
 };
 
 } // namespace dota

@@ -45,7 +45,6 @@ Int8Tensor::appendRow(const float *x, size_t n)
     k = n;
     const float inv = safeInvScale(scale);
     int32_t sum = 0;
-    codes.reserve(codes.size() + n);
     for (size_t p = 0; p < n; ++p) {
         const int code = roundCode(x[p], inv, kS8Qmax);
         codes.push_back(static_cast<int8_t>(code));

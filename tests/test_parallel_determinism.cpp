@@ -2,9 +2,9 @@
  * @file
  * Property tests for the parallel-execution determinism contract: GEMMs,
  * the row-parallel softmax/GELU/LayerNorm/top-k kernels, the fused
- * detector select, the int8 attention paths, trainer gradient steps and
- * fleet dispatch must be bit-identical at DOTA_THREADS=1 and
- * DOTA_THREADS=8 (DESIGN.md, "Parallel execution").
+ * detector select, the int8 attention paths, incremental decode, trainer
+ * gradient steps and fleet dispatch must be bit-identical at
+ * DOTA_THREADS=1 and DOTA_THREADS=8 (DESIGN.md, "Parallel execution").
  */
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include "detect/detector.hpp"
 #include "device/fleet.hpp"
 #include "nn/attention_backend.hpp"
+#include "nn/decode.hpp"
 #include "nn/int8_infer.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/sparse_mask.hpp"
@@ -594,6 +595,50 @@ TEST(ParallelDeterminism, Int8ForwardBitIdentical)
         }
     }
     lm.setHook(nullptr);
+}
+
+TEST(ParallelDeterminism, DecodeMatchesForwardAtBothThreadCounts)
+{
+    // fp32 dense decode and int8 decode reproduce their full-sequence
+    // forwards row for row, memcmp-exact, at 1 and at 8 threads.
+    const size_t big = bigSide();
+    TransformerConfig cfg;
+    cfg.dim = 32;
+    cfg.heads = 2;
+    cfg.layers = 2;
+    cfg.ffn_dim = 64;
+    cfg.vocab = 48;
+    cfg.max_seq = big;
+    cfg.seed = 9;
+    CausalLM lm(cfg);
+    Rng rng(31);
+    std::vector<int> ids(big);
+    for (auto &id : ids)
+        id = static_cast<int>(rng.uniformInt(cfg.vocab));
+    const Int8Plan plan = quantizeLM(lm, calibrateLM(lm, {ids}));
+    ScopedAttnChoice pin(AttnChoice::Dense);
+    const auto sameRow = [](const Matrix &step, const Matrix &full,
+                            size_t t) {
+        return step.rows() == 1 && step.cols() == full.cols() &&
+               std::memcmp(step.row(0), full.row(t),
+                           full.cols() * sizeof(float)) == 0;
+    };
+    for (size_t threads : {size_t{1}, size_t{8}}) {
+        ScopedThreads pool(threads);
+        const Matrix full = lm.forward(ids);
+        const Matrix full8 = int8Forward(lm, plan, ids);
+        DecodeState fp;
+        Int8DecodeState q8;
+        size_t differ = 0, differ8 = 0;
+        for (size_t t = 0; t < ids.size(); ++t) {
+            differ += !sameRow(decodeStep(lm, fp, ids[t]), full, t);
+            differ8 += !sameRow(int8DecodeStep(lm, plan, q8, ids[t]), full8, t);
+        }
+        EXPECT_EQ(differ, 0u) << "fp32 rows differ at " << threads
+                              << " threads";
+        EXPECT_EQ(differ8, 0u) << "int8 rows differ at " << threads
+                               << " threads";
+    }
 }
 
 } // namespace
